@@ -4,6 +4,7 @@
 //   perfbench_probe gen-compare <seed> <dir>  two paired-measure VBT1 artifacts
 //   perfbench_probe gen-shards <seed> <dir>   four VBT1 shards + expected.vbt
 //   perfbench_probe layers <seed> <work-dir> <repo-root>
+//   perfbench_probe io <seed> <work-dir>      load, merge, encode the shards
 //
 // `gen-*` write the seeded inputs of the report_compare and merge_shards
 // workloads through the library's public ResultTable binary save, so they
@@ -11,9 +12,10 @@
 // Irwin-Hall noise, no libm), so inputs depend on the seed and this file
 // only: a change to the library's RNG streams cannot change them.
 //
-// `layers` times calls into each layer's public functions from here, on
-// one thread, and prints one JSON object of per-layer metrics. No tracing
-// is added inside src/; counts come from the existing metrics registry.
+// `layers` and `io` time calls into each layer's public functions from
+// here, on one thread, and print one JSON object of per-layer metrics. No
+// tracing is added inside src/; counts come from the existing metrics
+// registry.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -533,6 +535,14 @@ int layers(std::uint64_t seed, const fs::path& work, const fs::path& repo) {
   probe_training(seed, spec.scale, out);
   probe_stats(seed, work, out);
   probe_report(work, out);
+  std::printf("%s\n", out.dump().c_str());
+  return 0;
+}
+
+/// The io layer in a process of its own, so io.rss_after_load_mb holds the
+/// loaded shards and not what the other layers' probes left on the heap.
+int io_layer(const fs::path& work) {
+  Metrics out;
   probe_io(work, out);
   std::printf("%s\n", out.dump().c_str());
   return 0;
@@ -542,7 +552,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: perfbench_probe gen-compare <seed> <dir>\n"
                "       perfbench_probe gen-shards <seed> <dir>\n"
-               "       perfbench_probe layers <seed> <work-dir> <repo-root>\n");
+               "       perfbench_probe layers <seed> <work-dir> <repo-root>\n"
+               "       perfbench_probe io <seed> <work-dir>\n");
   return 2;
 }
 
@@ -556,6 +567,7 @@ int main(int argc, char** argv) {
     if (cmd == "gen-compare" && argc == 4) return gen_compare(seed, argv[3]);
     if (cmd == "gen-shards" && argc == 4) return gen_shards(seed, argv[3]);
     if (cmd == "layers" && argc == 5) return layers(seed, argv[3], argv[4]);
+    if (cmd == "io" && argc == 4) return io_layer(argv[3]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench_probe: %s\n", e.what());
     return 1;

@@ -156,6 +156,8 @@ class PaperCampaign:
     name = "paper_campaign"
     ops = CAMPAIGN_TASKS + CAMPAIGN_MERGES
     stdout_path = None
+    unchecked = ("merged outputs only checked to exist and repeat across "
+                 "iterations")
 
     def __init__(self, seed, work):
         self.seed = seed
@@ -228,6 +230,7 @@ class ReportCompare:
 
     name = "report_compare"
     ops = 1
+    unchecked = "report bytes only checked to repeat across iterations"
 
     def __init__(self, seed, work):
         self.seed = seed
@@ -267,6 +270,7 @@ class MergeShards:
     name = "merge_shards"
     ops = 1
     stdout_path = None
+    unchecked = "merged.vbt still checked against the generator's expected.vbt"
 
     def __init__(self, seed, work):
         self.seed = seed
@@ -360,9 +364,12 @@ def end_to_end(workload_cls, seed, seconds):
         failed += bad
         digests.append(digest)
     if reference is None:
-        # Without a reference the outputs must at least repeat.
+        # Without a reference the outputs must at least repeat, which a
+        # deterministic but wrong program also does: say what went unchecked.
         failed += workload.ops * sum(1 for d in digests[1:]
                                      if d is not None and d != digests[0])
+        print(f"perfbench: no reference digests for seed {seed} (see "
+              f"{REFERENCE_FILE.name}); {workload.unchecked}", file=sys.stderr)
 
     attempted = workload.ops * len(samples)
     walls = [s.wall_s for s in samples]
@@ -381,8 +388,8 @@ def end_to_end(workload_cls, seed, seconds):
               f"(last iteration)")
         print(f"  longest_task_s {max(t for _, t in tasks):.6g} s")
     print("  outputs      " + ("match the reference digests" if reference
-                             else f"no reference for seed {seed}; "
-                                  "checked for repeatability"))
+                             else f"NOT checked against a reference for seed "
+                                  f"{seed}: {workload.unchecked}"))
     emit(failed == 0, attempted, failed, "end_to_end", {
         "wall_s": statistics.median(walls),
         "cpu_s": statistics.median(cpus),
@@ -422,16 +429,15 @@ def campaign_layers(seed, work, reference):
 
     spans, labels = read_trace(traced_state / "traces" /
                                "coordinator.trace.json")
-    claimed, running, merges = {}, {}, []
+    running, merges = {}, []
     for s in spans:
-        if s["span"] == "campaign.task_claimed":
-            claimed[s["ident"]] = s["start_ns"]
-        elif s["span"] == "campaign.task_running":
+        if s["span"] == "campaign.task_running":
             running[s["ident"]] = s
         elif s["span"] == "campaign.study_merged":
             merges.append(s["dur_ns"] / 1e9)
-    claim_ms = [(running[i]["start_ns"] - claimed[i]) / 1e6
-                for i in running if i in claimed]
+    # claimed_at to launched_at around the launcher call, so it holds the
+    # spawn; p50/p90 are log2-bin upper bounds of the coordinator's timer.
+    claim = counters["campaign.claim_to_start_ns"]
     spawn_ms = []
     for ident, span in running.items():
         worker = traced_state / "traces" / f"worker-{labels[ident]}.trace.json"
@@ -445,8 +451,8 @@ def campaign_layers(seed, work, reference):
     values = {
         "campaign.tasks_launched": counters["campaign.tasks_launched"]["sum"],
         "campaign.task_retries": counters["campaign.task_retries"]["sum"],
-        "campaign.claim_to_start_ms.p50": nearest_rank(claim_ms, 0.5),
-        "campaign.claim_to_start_ms.p90": nearest_rank(claim_ms, 0.9),
+        "campaign.claim_to_start_ms.p50": claim["p50"] / 1e6,
+        "campaign.claim_to_start_ms.p90": claim["p90"] / 1e6,
         "campaign.worker_idle_s": WORKERS * traced.wall_s - busy_s,
         "campaign.makespan_over_floor":
             plain.wall_s / max(longest, task_sum / WORKERS),
@@ -479,13 +485,13 @@ def traced(seed):
     report = run(ReportCompare(seed, inputs).report_argv(), stdout=cli_report,
                  log=log)
     failed += report.returncode != 0
-    probe_out = work / "probe.json"
-    probe = run([PROBE, "layers", seed, inputs, ROOT], stdout=probe_out,
-                log=log)
-    if probe.returncode != 0 or campaign is None:
+    # io runs in a process of its own: its RSS is the loaded shards only.
+    probe_args = {"layers": [seed, inputs, ROOT], "io": [seed, inputs]}
+    probes = [run([PROBE, part, *args], stdout=work / f"probe-{part}.json",
+                  log=log) for part, args in probe_args.items()]
+    if any(p.returncode for p in probes) or campaign is None:
         emit(False, attempted, failed + 2, "per_layer", None)
         return
-    layers = json.loads(probe_out.read_text().splitlines()[-1])
     # The probe's in-process report and merge must match the CLI's report
     # and the unsharded table, and those the reference digests.
     expected = {ReportCompare.name: sha256(cli_report.read_bytes()),
@@ -496,7 +502,16 @@ def traced(seed):
         expected[MergeShards.name]
     failed += sum(1 for name, digest in expected.items()
                   if reference.get(name) not in (None, digest))
+    unchecked = [name for name in WORKLOADS if reference.get(name) is None]
+    if unchecked:
+        print(f"perfbench: no reference digests for seed {seed}; outputs of "
+              f"{', '.join(unchecked)} only checked against each other",
+              file=sys.stderr)
 
+    layers = {}
+    for part in probe_args:
+        layers.update(json.loads(
+            (work / f"probe-{part}.json").read_text().splitlines()[-1]))
     values = {**campaign, **layers}
     print(f"per-layer suite seed={seed}: ml.fit_ms over "
           f"{layers['ml.fit_samples']} fits; failed {failed}/{attempted}")

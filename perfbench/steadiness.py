@@ -1,29 +1,29 @@
 #!/usr/bin/env python3
 """Steadiness self-check of the end-to-end benchmark.
 
-    python3 perfbench/steadiness.py [--runs 10] [--first-seed 1]
-                                    [--workload NAME ...] [--seconds S]
+    python3 perfbench/steadiness.py
 
-Run from the repository root. Makes two sets of runs of perfbench/run.py
-on each workload (--runs runs per set, seeds first-seed, first-seed+1, ...,
-the same seeds in both sets) and reports, for every end-to-end metric in
-BENCHMARK.json, each set's median and quartiles, the spread (Q3 - Q1) /
-median, and the second median's change against the first. Exits 1 when a
-spread (setup_s excepted) exceeds the metric's bound, when a median worsens
-by more than the bound, or when any run reports a failed operation.
+Run from the repository root. Makes two sets of ten runs of
+perfbench/run.py on every workload of BENCHMARK.json, at its run_seconds,
+with seeds 1..10 in both sets, and reports, for every end-to-end metric,
+each set's median and quartiles, the spread (Q3 - Q1) / median, and the
+second median's change against the first. Exits 1 when a spread exceeds
+the metric's bound, when a median worsens by more than the bound, or when
+any run reports a failed operation.
 """
 
-import argparse
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+SEEDS = range(1, 11)
 
-def one_set(workload, seeds, seconds):
+
+def one_set(workload, seconds):
     values = {}
-    for seed in seeds:
+    for seed in SEEDS:
         out = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -44,32 +44,23 @@ def summary(values):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workload", action="append")
-    parser.add_argument("--seconds", type=int)
-    args = parser.parse_args()
     bench = json.loads(Path("BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seeds = range(args.first_seed, args.first_seed + args.runs)
+    seconds = bench["run_seconds"]
     ok = True
-    for workload in workloads:
-        sets = [one_set(workload, seeds, seconds) for _ in range(2)]
-        print(f"{workload} ({args.runs} runs per set, seeds {seeds.start}.."
-              f"{seeds.stop - 1}, {seconds} s each)")
+    for workload in (w["name"] for w in bench["workloads"]):
+        sets = [one_set(workload, seconds) for _ in range(2)]
+        print(f"{workload} ({len(SEEDS)} runs per set, seeds {SEEDS.start}.."
+              f"{SEEDS.stop - 1}, {seconds} s each)")
         for metric in bench["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
             first = summary(sets[0][name])
             second = summary(sets[1][name])
             change = (second[0] - first[0]) / first[0]
             worse = change if metric["better"] == "lower" else -change
-            verdict = []
-            for label, (_, _, _, spread) in (("set 1", first),
-                                             ("set 2", second)):
-                if name != "setup_s" and spread > bound:
-                    verdict.append(f"{label} spread over bound")
+            verdict = [f"{label} spread over bound"
+                       for label, (_, _, _, spread) in (("set 1", first),
+                                                        ("set 2", second))
+                       if spread > bound]
             if worse > bound:
                 verdict.append("median worse by more than bound")
             ok &= not verdict
