@@ -1,7 +1,15 @@
 // Dense row-major matrix of double, the numeric workhorse for the ML and GP
 // substrates. Deliberately minimal: varbench needs matmul, transpose,
 // elementwise ops and views — not a full BLAS.
+//
+// The GEMMs fix each output's summation order (docs/determinism.md,
+// "Floating-point kernels"), so results are the same bits on every ISA and
+// at every optimisation level, provided the compiler keeps IEEE semantics.
 #pragma once
+
+#if defined(__FAST_MATH__)
+#error "varbench requires IEEE floating point: do not build with -ffast-math"
+#endif
 
 #include <cassert>
 #include <cstddef>
@@ -56,6 +64,10 @@ class Matrix {
 
   void fill(double value) noexcept;
 
+  /// Reshape to rows×cols, reusing the allocation when it is large enough.
+  /// Entries are unspecified afterwards; callers overwrite every one.
+  void resize(std::size_t rows, std::size_t cols);
+
   friend bool operator==(const Matrix& a, const Matrix& b) = default;
 
  private:
@@ -69,15 +81,32 @@ class Matrix {
 [[nodiscard]] Matrix operator*(Matrix a, double s);
 [[nodiscard]] Matrix operator*(double s, Matrix a);
 
-/// a(m×k) * b(k×n) → (m×n).
+/// a(m×k) * b(k×n) → (m×n). Terms with a zero factor from `a` add nothing.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// a(m×k) * bᵀ where b is (n×k) → (m×n). Avoids materializing transposes in
 /// the MLP backward pass.
 [[nodiscard]] Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
-/// aᵀ * b where a is (k×m), b is (k×n) → (m×n).
+/// aᵀ * b where a is (k×m), b is (k×n) → (m×n). Terms with a zero factor
+/// from `a` add nothing.
 [[nodiscard]] Matrix matmul_tn(const Matrix& a, const Matrix& b);
+
+/// Buffer-reusing forms of the three GEMMs: `out` is resized (keeping its
+/// allocation) and every entry overwritten, with the same bits as the
+/// value-returning form. `out` must not be `a` or `b`.
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
+void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& out);
+void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& out);
+
+/// Instruction-set variants of the tiled GEMM kernel. kAuto, the default,
+/// picks the best one the CPU supports; the others exist so that tests can
+/// pin every variant to the same bits.
+enum class GemmIsa : int { kAuto, kGeneric, kAvx2, kAvx512 };
+
+/// Route every later GEMM through `isa` (process-wide; for tests). Returns
+/// false, and changes nothing, when this CPU or build cannot run it.
+bool force_gemm_isa(GemmIsa isa) noexcept;
 
 /// Matrix–vector product: a(m×n) * x(n) → (m).
 [[nodiscard]] std::vector<double> matvec(const Matrix& a,

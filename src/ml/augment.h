@@ -13,11 +13,10 @@ struct AugmentConfig {
   double mask_prob = 0.0;   // probability of zeroing each feature
 };
 
-/// Augmented copy of `batch` with randomness drawn from `rng`
+/// Augment `batch` in place with randomness drawn from `rng`
 /// (the ξO data-augmentation stream).
-[[nodiscard]] math::Matrix augment_batch(const math::Matrix& batch,
-                                         const AugmentConfig& config,
-                                         rngx::Rng& rng);
+void augment_in_place(math::Matrix& batch, const AugmentConfig& config,
+                      rngx::Rng& rng);
 
 /// True when this configuration actually perturbs data.
 [[nodiscard]] inline bool is_active(const AugmentConfig& config) {

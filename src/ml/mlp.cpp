@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace varbench::ml {
 
@@ -43,104 +44,129 @@ std::size_t Mlp::num_parameters() const noexcept {
 
 namespace {
 
-math::Matrix affine(const math::Matrix& input, const math::Matrix& w,
-                    const std::vector<double>& b) {
-  // input (B×in) · wᵀ (in×out) + b → (B×out)
-  math::Matrix out = math::matmul_nt(input, w);
+// out ← input (B×in) · wᵀ (in×out) + b → (B×out)
+void affine_into(const math::Matrix& input, const math::Matrix& w,
+                 const std::vector<double>& b, math::Matrix& out) {
+  math::matmul_nt_into(input, w, out);
+  const double* __restrict bias = b.data();
   for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto row = out.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] += b[c];
+    double* __restrict row = out.row(r).data();
+    for (std::size_t c = 0; c < out.cols(); ++c) row[c] += bias[c];
   }
-  return out;
 }
 
+// std::max(v, 0.0) written as a select, which vectorizes: -0.0 and NaN pass
+// through unchanged, as they do through std::max.
+double relu(double v) { return v < 0.0 ? 0.0 : v; }
+
 void relu_inplace(math::Matrix& m) {
-  for (double& v : m.data()) v = std::max(v, 0.0);
+  for (double& v : m.data()) v = relu(v);
+}
+
+// out[c] = Σ_r m(r, c), summed in ascending r from +0.0.
+void column_sums(const math::Matrix& m, std::vector<double>& out) {
+  out.assign(m.cols(), 0.0);
+  double* __restrict sums = out.data();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const double* __restrict row = m.row(r).data();
+    for (std::size_t c = 0; c < m.cols(); ++c) sums[c] += row[c];
+  }
 }
 
 }  // namespace
 
 math::Matrix Mlp::forward(const math::Matrix& batch) const {
-  math::Matrix h = batch;
+  math::Matrix h;
+  math::Matrix next;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
-    h = affine(h, weights_[i], biases_[i]);
+    affine_into(i == 0 ? batch : h, weights_[i], biases_[i], next);
+    std::swap(h, next);
     if (i + 1 < weights_.size()) relu_inplace(h);
   }
   return h;
 }
 
-math::Matrix Mlp::forward_train(const math::Matrix& batch,
-                                rngx::Rng& dropout_rng,
-                                ForwardCache& cache) const {
+const math::Matrix& Mlp::forward_train(const math::Matrix& batch,
+                                       rngx::Rng& dropout_rng,
+                                       ForwardCache& cache) const {
   const std::size_t L = weights_.size();
-  cache.inputs.assign(L, {});
-  cache.pre.assign(L, {});
-  cache.dropout_mask.assign(L, {});
-  math::Matrix h = batch;
+  cache.inputs.resize(L);
+  cache.pre.resize(L);
+  cache.dropout_mask.resize(L);
+  cache.inputs[0] = batch;
   for (std::size_t i = 0; i < L; ++i) {
-    cache.inputs[i] = h;
-    h = affine(h, weights_[i], biases_[i]);
-    cache.pre[i] = h;
-    if (i + 1 < L) {
-      relu_inplace(h);
-      if (config_.dropout > 0.0) {
-        // Inverted dropout: scale at train time so inference needs no change.
-        math::Matrix mask{h.rows(), h.cols()};
-        const double keep = 1.0 - config_.dropout;
-        for (std::size_t j = 0; j < mask.size(); ++j) {
-          mask.data()[j] = dropout_rng.bernoulli(keep) ? 1.0 / keep : 0.0;
-        }
-        for (std::size_t j = 0; j < h.size(); ++j) {
-          h.data()[j] *= mask.data()[j];
-        }
-        cache.dropout_mask[i] = std::move(mask);
+    math::Matrix& pre = cache.pre[i];
+    affine_into(cache.inputs[i], weights_[i], biases_[i], pre);
+    if (i + 1 == L) break;
+    math::Matrix& h = cache.inputs[i + 1];
+    h.resize(pre.rows(), pre.cols());
+    const double* __restrict z = pre.data().data();
+    double* __restrict out = h.data().data();
+    const std::size_t size = h.size();
+    for (std::size_t j = 0; j < size; ++j) out[j] = relu(z[j]);
+    math::Matrix& mask = cache.dropout_mask[i];
+    if (config_.dropout > 0.0) {
+      // Inverted dropout: scale at train time so inference needs no change.
+      mask.resize(h.rows(), h.cols());
+      const double keep = 1.0 - config_.dropout;
+      const double scale = 1.0 / keep;
+      for (double& m : mask.data()) {
+        m = dropout_rng.bernoulli(keep) ? scale : 0.0;
       }
+      const double* __restrict keep_mask = mask.data().data();
+      for (std::size_t j = 0; j < size; ++j) out[j] *= keep_mask[j];
+    } else {
+      mask.resize(0, 0);
     }
   }
-  return h;
+  return cache.pre[L - 1];
 }
 
-Gradients Mlp::backward(const ForwardCache& cache,
-                        const math::Matrix& grad_logits) const {
+void Mlp::backward(const ForwardCache& cache, const math::Matrix& grad_logits,
+                   Gradients& g) const {
   const std::size_t L = weights_.size();
-  Gradients g;
   g.weights.resize(L);
   g.biases.resize(L);
-  math::Matrix delta = grad_logits;  // d(loss)/d(pre-activation of layer L-1)
+  g.delta.resize(L - 1);
+  // d(loss)/d(pre-activation of layer ii), starting at the logits.
+  const math::Matrix* delta = &grad_logits;
   for (std::size_t ii = L; ii-- > 0;) {
     // Weight/bias gradients for layer ii.
     if (layer_trainable(ii)) {
-      g.weights[ii] = math::matmul_tn(delta, cache.inputs[ii]);
-      g.biases[ii].assign(biases_[ii].size(), 0.0);
-      for (std::size_t r = 0; r < delta.rows(); ++r) {
-        const auto row = delta.row(r);
-        for (std::size_t c = 0; c < row.size(); ++c) g.biases[ii][c] += row[c];
-      }
+      math::matmul_tn_into(*delta, cache.inputs[ii], g.weights[ii]);
+      column_sums(*delta, g.biases[ii]);
     } else {
-      g.weights[ii] = math::Matrix{weights_[ii].rows(), weights_[ii].cols()};
+      g.weights[ii].resize(weights_[ii].rows(), weights_[ii].cols());
+      g.weights[ii].fill(0.0);
       g.biases[ii].assign(biases_[ii].size(), 0.0);
     }
     if (ii == 0) break;
+    // Only the first layer can be frozen, and a frozen layer 0 needs no
+    // delta.
+    if (ii == 1 && !layer_trainable(0)) continue;
     // Propagate to previous layer: delta ← (delta · W_ii) ⊙ relu'(pre_{ii-1})
     // with the dropout mask of layer ii-1 applied.
-    math::Matrix prev = math::matmul(delta, weights_[ii]);
-    const math::Matrix& pre_prev = cache.pre[ii - 1];
-    for (std::size_t j = 0; j < prev.size(); ++j) {
-      if (pre_prev.data()[j] <= 0.0) prev.data()[j] = 0.0;
-    }
+    math::Matrix& prev = g.delta[ii - 1];
+    math::matmul_into(*delta, weights_[ii], prev);
+    const double* __restrict pre = cache.pre[ii - 1].data().data();
+    double* __restrict d = prev.data().data();
     const math::Matrix& mask = cache.dropout_mask[ii - 1];
-    if (!mask.empty()) {
+    if (mask.empty()) {
       for (std::size_t j = 0; j < prev.size(); ++j) {
-        prev.data()[j] *= mask.data()[j];
+        d[j] = pre[j] <= 0.0 ? 0.0 : d[j];
+      }
+    } else {
+      const double* __restrict keep = mask.data().data();
+      for (std::size_t j = 0; j < prev.size(); ++j) {
+        d[j] = (pre[j] <= 0.0 ? 0.0 : d[j]) * keep[j];
       }
     }
-    delta = std::move(prev);
+    delta = &prev;
   }
-  return g;
 }
 
-math::Matrix softmax(const math::Matrix& logits) {
-  math::Matrix p{logits.rows(), logits.cols()};
+void softmax_into(const math::Matrix& logits, math::Matrix& p) {
+  p.resize(logits.rows(), logits.cols());
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     const auto in = logits.row(r);
     auto out = p.row(r);
@@ -152,7 +178,6 @@ math::Matrix softmax(const math::Matrix& logits) {
     }
     for (double& v : out) v /= sum;
   }
-  return p;
 }
 
 double softmax_cross_entropy(const math::Matrix& logits,
@@ -162,7 +187,7 @@ double softmax_cross_entropy(const math::Matrix& logits,
   if (labels.size() != batch) {
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
-  grad = softmax(logits);
+  softmax_into(logits, grad);
   double loss = 0.0;
   const double inv_b = 1.0 / static_cast<double>(batch);
   for (std::size_t r = 0; r < batch; ++r) {
@@ -184,7 +209,7 @@ double mse_loss(const math::Matrix& pred, std::span<const double> targets,
   if (pred.cols() != 1 || targets.size() != batch) {
     throw std::invalid_argument("mse_loss: shape mismatch");
   }
-  grad = math::Matrix{batch, 1};
+  grad.resize(batch, 1);
   double loss = 0.0;
   const double inv_b = 1.0 / static_cast<double>(batch);
   for (std::size_t r = 0; r < batch; ++r) {

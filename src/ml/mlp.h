@@ -27,16 +27,22 @@ struct MlpConfig {
   bool freeze_first_layer = false;
 };
 
-/// Per-batch cache of forward activations needed by backward().
+/// Per-batch cache of forward activations needed by backward(). Reusing one
+/// cache across steps reuses its buffers.
 struct ForwardCache {
   std::vector<math::Matrix> inputs;  // input to each layer (post-activation)
   std::vector<math::Matrix> pre;     // pre-activation of each layer
-  std::vector<math::Matrix> dropout_mask;  // empty when not training
+  std::vector<math::Matrix> dropout_mask;  // empty when dropout is off
 };
 
+/// d(loss)/d(parameters) of one batch. Reusing one Gradients across steps
+/// reuses its buffers.
 struct Gradients {
   std::vector<math::Matrix> weights;
   std::vector<std::vector<double>> biases;
+  // d(loss)/d(pre-activation) of each hidden layer: backward()'s working
+  // buffers, left as the pass computed them.
+  std::vector<math::Matrix> delta;
 };
 
 class Mlp {
@@ -75,14 +81,16 @@ class Mlp {
   [[nodiscard]] math::Matrix forward(const math::Matrix& batch) const;
 
   /// Training forward pass; dropout masks drawn from `dropout_rng`
-  /// (the ξO dropout stream). Fills `cache` for backward().
-  [[nodiscard]] math::Matrix forward_train(const math::Matrix& batch,
-                                           rngx::Rng& dropout_rng,
-                                           ForwardCache& cache) const;
+  /// (the ξO dropout stream). Fills `cache` for backward() and returns the
+  /// logits, which live in the cache.
+  [[nodiscard]] const math::Matrix& forward_train(const math::Matrix& batch,
+                                                  rngx::Rng& dropout_rng,
+                                                  ForwardCache& cache) const;
 
-  /// Backpropagate d(loss)/d(logits) through the cached forward pass.
-  [[nodiscard]] Gradients backward(const ForwardCache& cache,
-                                   const math::Matrix& grad_logits) const;
+  /// Backpropagate d(loss)/d(logits) through the cached forward pass into
+  /// `grads`. A frozen layer gets an all-zero gradient.
+  void backward(const ForwardCache& cache, const math::Matrix& grad_logits,
+                Gradients& grads) const;
 
  private:
   MlpConfig config_;
@@ -101,7 +109,7 @@ class Mlp {
                               std::span<const double> targets,
                               math::Matrix& grad);
 
-/// Row-wise softmax probabilities of logits.
-[[nodiscard]] math::Matrix softmax(const math::Matrix& logits);
+/// Row-wise softmax probabilities of `logits` into `p`, reusing its buffer.
+void softmax_into(const math::Matrix& logits, math::Matrix& p);
 
 }  // namespace varbench::ml

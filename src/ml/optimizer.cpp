@@ -1,6 +1,7 @@
 #include "src/ml/optimizer.h"
 
 #include <cmath>
+#include <span>
 
 namespace varbench::ml {
 
@@ -25,6 +26,49 @@ void ensure_bias_state(std::vector<std::vector<double>>& state,
   }
 }
 
+// The update loops run over flat arrays that the compiler may assume do not
+// alias, so they vectorize. Weights take the L2 term; biases are a separate
+// instantiation without it, so no 0·w is ever added to a bias update.
+
+template <bool kWeightDecay>
+void sgd_update(std::span<double> params, std::span<const double> grads,
+                std::vector<double>& velocity, const OptimizerConfig& config,
+                double lr) {
+  double* __restrict w = params.data();
+  const double* __restrict g = grads.data();
+  double* __restrict vel = velocity.data();
+  const double momentum = config.momentum;
+  const double weight_decay = config.weight_decay;
+  for (std::size_t j = 0; j < params.size(); ++j) {
+    double grad = g[j];
+    if constexpr (kWeightDecay) grad = g[j] + weight_decay * w[j];
+    vel[j] = momentum * vel[j] + grad;
+    w[j] -= lr * vel[j];
+  }
+}
+
+struct AdamCoefficients {
+  double lr, b1, b2, bc1, bc2;
+};
+
+template <bool kWeightDecay>
+void adam_update(std::span<double> params, std::span<const double> grads,
+                 std::vector<double>& first, std::vector<double>& second,
+                 const AdamCoefficients& c, double weight_decay) {
+  constexpr double kEps = 1e-8;
+  double* __restrict w = params.data();
+  const double* __restrict g = grads.data();
+  double* __restrict m = first.data();
+  double* __restrict v = second.data();
+  for (std::size_t j = 0; j < params.size(); ++j) {
+    double grad = g[j];
+    if constexpr (kWeightDecay) grad = g[j] + weight_decay * w[j];
+    m[j] = c.b1 * m[j] + (1.0 - c.b1) * grad;
+    v[j] = c.b2 * v[j] + (1.0 - c.b2) * grad * grad;
+    w[j] -= c.lr * (m[j] / c.bc1) / (std::sqrt(v[j] / c.bc2) + kEps);
+  }
+}
+
 }  // namespace
 
 void SgdOptimizer::step(Mlp& model, const Gradients& g) {
@@ -34,21 +78,10 @@ void SgdOptimizer::step(Mlp& model, const Gradients& g) {
   const double lr = current_lr();
   for (std::size_t i = 0; i < L; ++i) {
     if (!model.layer_trainable(i)) continue;
-    auto w = model.weights()[i].data();
-    const auto gw = g.weights[i].data();
-    auto& vel = weight_velocity_[i];
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      const double grad = gw[j] + config_.weight_decay * w[j];
-      vel[j] = config_.momentum * vel[j] + grad;
-      w[j] -= lr * vel[j];
-    }
-    auto& b = model.biases()[i];
-    const auto& gb = g.biases[i];
-    auto& bvel = bias_velocity_[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      bvel[j] = config_.momentum * bvel[j] + gb[j];
-      b[j] -= lr * bvel[j];
-    }
+    sgd_update<true>(model.weights()[i].data(), g.weights[i].data(),
+                     weight_velocity_[i], config_, lr);
+    sgd_update<false>(model.biases()[i], g.biases[i], bias_velocity_[i],
+                      config_, lr);
   }
 }
 
@@ -76,29 +109,17 @@ void AdamOptimizer::step(Mlp& model, const Gradients& g) {
   ensure_bias_state(m_b_, L, model.biases());
   ensure_bias_state(v_b_, L, model.biases());
   ++t_;
-  const double lr = current_lr();
   const double b1 = config_.adam_beta1;
   const double b2 = config_.adam_beta2;
-  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
-  constexpr double kEps = 1e-8;
+  const AdamCoefficients c{current_lr(), b1, b2,
+                           1.0 - std::pow(b1, static_cast<double>(t_)),
+                           1.0 - std::pow(b2, static_cast<double>(t_))};
   for (std::size_t i = 0; i < L; ++i) {
     if (!model.layer_trainable(i)) continue;
-    auto w = model.weights()[i].data();
-    const auto gw = g.weights[i].data();
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      const double grad = gw[j] + config_.weight_decay * w[j];
-      m_w_[i][j] = b1 * m_w_[i][j] + (1.0 - b1) * grad;
-      v_w_[i][j] = b2 * v_w_[i][j] + (1.0 - b2) * grad * grad;
-      w[j] -= lr * (m_w_[i][j] / bc1) / (std::sqrt(v_w_[i][j] / bc2) + kEps);
-    }
-    auto& b = model.biases()[i];
-    const auto& gb = g.biases[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      m_b_[i][j] = b1 * m_b_[i][j] + (1.0 - b1) * gb[j];
-      v_b_[i][j] = b2 * v_b_[i][j] + (1.0 - b2) * gb[j] * gb[j];
-      b[j] -= lr * (m_b_[i][j] / bc1) / (std::sqrt(v_b_[i][j] / bc2) + kEps);
-    }
+    adam_update<true>(model.weights()[i].data(), g.weights[i].data(), m_w_[i],
+                      v_w_[i], c, config_.weight_decay);
+    adam_update<false>(model.biases()[i], g.biases[i], m_b_[i], v_b_[i], c,
+                       0.0);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/ml/trainer.h"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -27,6 +28,12 @@ Mlp make_model(const Dataset& train, const TrainConfig& config,
   return Mlp{resolve_model_config(train, config.model, config.loss), init_rng};
 }
 
+const Dataset& validated(const Dataset& train) {
+  if (train.empty()) throw std::invalid_argument("Trainer: empty train set");
+  validate(train);
+  return train;
+}
+
 std::unique_ptr<Optimizer> make_optimizer(const TrainConfig& config) {
   if (config.optimizer == OptimizerKind::kSgd) {
     return std::make_unique<SgdOptimizer>(config.opt);
@@ -38,7 +45,7 @@ std::unique_ptr<Optimizer> make_optimizer(const TrainConfig& config) {
 
 Trainer::Trainer(const Dataset& train, TrainConfig config,
                  const rngx::VariationSeeds& seeds)
-    : train_{train},
+    : train_{validated(train)},
       config_{std::move(config)},
       model_{make_model(train, config_, seeds)},
       optimizer_{make_optimizer(config_)},
@@ -46,8 +53,6 @@ Trainer::Trainer(const Dataset& train, TrainConfig config,
       dropout_rng_{seeds.rng_for(rngx::VariationSource::kDropout)},
       augment_rng_{seeds.rng_for(rngx::VariationSource::kDataAugment)},
       order_(train.size()) {
-  if (train_.empty()) throw std::invalid_argument("Trainer: empty train set");
-  validate(train_);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
 }
 
@@ -57,30 +62,28 @@ void Trainer::run_epoch() {
   const std::size_t batch = std::max<std::size_t>(1, config_.batch_size);
   order_rng_.shuffle(order_);
 
-  ForwardCache cache;
-  math::Matrix grad_logits;
-  std::vector<double> targets;
   for (std::size_t start = 0; start < n; start += batch) {
     const std::size_t end = std::min(start + batch, n);
     const std::span<const std::size_t> idx{order_.data() + start, end - start};
-    math::Matrix x{idx.size(), train_.dim()};
+    batch_.resize(idx.size(), train_.dim());
+    targets_.resize(idx.size());
     for (std::size_t i = 0; i < idx.size(); ++i) {
       const auto src = train_.x.row(idx[i]);
-      auto dst = x.row(i);
-      for (std::size_t c = 0; c < src.size(); ++c) dst[c] = src[c];
+      std::copy(src.begin(), src.end(), batch_.row(i).begin());
+      targets_[i] = train_.y[idx[i]];
     }
     if (is_active(config_.augment)) {
-      x = augment_batch(x, config_.augment, augment_rng_);
+      augment_in_place(batch_, config_.augment, augment_rng_);
     }
-    targets.resize(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) targets[i] = train_.y[idx[i]];
-    const math::Matrix logits = model_.forward_train(x, dropout_rng_, cache);
+    const math::Matrix& logits =
+        model_.forward_train(batch_, dropout_rng_, cache_);
     if (config_.loss == LossKind::kSoftmaxCrossEntropy) {
-      (void)softmax_cross_entropy(logits, targets, grad_logits);
+      (void)softmax_cross_entropy(logits, targets_, grad_logits_);
     } else {
-      (void)mse_loss(logits, targets, grad_logits);
+      (void)mse_loss(logits, targets_, grad_logits_);
     }
-    optimizer_->step(model_, model_.backward(cache, grad_logits));
+    model_.backward(cache_, grad_logits_, grads_);
+    optimizer_->step(model_, grads_);
   }
   optimizer_->end_epoch();
   ++epoch_;

@@ -2,7 +2,8 @@
 // reproducible study must be able to interrupt a training after any epoch
 // and resume it later with bit-identical results — which requires
 // checkpointing model weights, optimizer buffers AND every RNG stream.
-// Trainer packages that protocol; train_mlp() remains the one-shot path.
+// Trainer packages that protocol, and holds varbench's one mini-batch
+// training loop: train_mlp() is a Trainer run to completion.
 #pragma once
 
 #include <memory>
@@ -63,6 +64,13 @@ class Trainer {
   rngx::Rng augment_rng_;
   std::vector<std::size_t> order_;
   std::size_t epoch_ = 0;
+
+  // Buffers of one training step, reused by every step; not training state.
+  math::Matrix batch_;
+  std::vector<double> targets_;
+  ForwardCache cache_;
+  math::Matrix grad_logits_;
+  Gradients grads_;
 };
 
 }  // namespace varbench::ml

@@ -90,7 +90,8 @@ TEST(Mlp, GradientCheckCrossEntropy) {
   math::Matrix grad_logits;
   const auto logits = m.forward_train(batch, dropout_rng, cache);
   (void)softmax_cross_entropy(logits, labels, grad_logits);
-  const Gradients g = m.backward(cache, grad_logits);
+  Gradients g;
+  m.backward(cache, grad_logits, g);
 
   auto loss_at = [&](Mlp& model) {
     const auto lg = model.forward(batch);
@@ -142,7 +143,8 @@ TEST(Mlp, GradientCheckMse) {
   math::Matrix grad;
   const auto pred = m.forward_train(batch, dropout_rng, cache);
   (void)mse_loss(pred, targets, grad);
-  const Gradients g = m.backward(cache, grad);
+  Gradients g;
+  m.backward(cache, grad, g);
 
   constexpr double kEps = 1e-6;
   auto w = m.weights()[0].data();
@@ -174,7 +176,8 @@ TEST(Mlp, FrozenLayerGetsZeroGradient) {
   math::Matrix grad_logits;
   const auto logits = m.forward_train(batch, dropout_rng, cache);
   (void)softmax_cross_entropy(logits, labels, grad_logits);
-  const Gradients g = m.backward(cache, grad_logits);
+  Gradients g;
+  m.backward(cache, grad_logits, g);
   EXPECT_DOUBLE_EQ(g.weights[0].squared_norm(), 0.0);
   EXPECT_GT(g.weights[1].squared_norm(), 0.0);
 }
@@ -198,7 +201,8 @@ TEST(Mlp, DropoutZerosActivationsInTraining) {
 
 TEST(Softmax, RowsSumToOne) {
   const math::Matrix logits{{1.0, 2.0, 3.0}, {-1.0, 0.0, 1.0}};
-  const auto p = softmax(logits);
+  math::Matrix p;
+  softmax_into(logits, p);
   for (std::size_t r = 0; r < p.rows(); ++r) {
     double sum = 0.0;
     for (std::size_t c = 0; c < p.cols(); ++c) {
@@ -211,7 +215,8 @@ TEST(Softmax, RowsSumToOne) {
 
 TEST(Softmax, NumericallyStableForLargeLogits) {
   const math::Matrix logits{{1000.0, 1001.0}};
-  const auto p = softmax(logits);
+  math::Matrix p;
+  softmax_into(logits, p);
   EXPECT_NEAR(p(0, 0) + p(0, 1), 1.0, 1e-12);
   EXPECT_FALSE(std::isnan(p(0, 0)));
 }

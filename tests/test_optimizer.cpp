@@ -124,7 +124,9 @@ TEST(Adam, ConvergesOnQuadratic) {
     math::Matrix grad;
     const auto pred = m.forward_train(x, drop, cache);
     (void)mse_loss(pred, y, grad);
-    opt.step(m, m.backward(cache, grad));
+    Gradients g;
+    m.backward(cache, grad, g);
+    opt.step(m, g);
   }
   math::Matrix unused;
   const auto pred = m.forward(x);
@@ -147,7 +149,9 @@ TEST(Sgd, ConvergesOnQuadratic) {
     math::Matrix grad;
     const auto pred = m.forward_train(x, drop, cache);
     (void)mse_loss(pred, y, grad);
-    opt.step(m, m.backward(cache, grad));
+    Gradients g;
+    m.backward(cache, grad, g);
+    opt.step(m, g);
   }
   math::Matrix unused;
   EXPECT_NEAR(mse_loss(m.forward(x), y, unused), 0.0, 1e-4);
