@@ -8,7 +8,6 @@
 
 #include "src/campaign/subprocess.h"
 #include "src/campaign/work_queue.h"
-#include "src/io/columnar/stream_writer.h"
 #include "src/io/columnar/vbt.h"
 #include "src/io/json.h"
 #include "src/metrics/metrics.h"
@@ -364,49 +363,18 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         if (st.task.study_index != k) continue;
         shard_paths.push_back(queue.existing_artifact_path(st.task.id));
       }
-      const std::size_t count = shard_paths.size();
-      bool all_vbt = binary;
-      for (const std::string& p : shard_paths) {
-        all_vbt = all_vbt && p.size() > 4 &&
-                  p.compare(p.size() - 4, 4, ".vbt") == 0;
-      }
-      if (all_vbt) {
-        // Streaming k-way merge: shards stay mmap'd and the merged file
-        // goes out one row-group chunk at a time — peak memory is chunk-
-        // bounded, bytes identical to the in-memory encode path below.
-        const std::string tmp = out + ".tmp-merge";
-        io::columnar::stream_merge_vbt(shard_paths, tmp,
-                                       /*include_provenance=*/false);
-        std::error_code mv_ec;
-        fs::rename(tmp, out, mv_ec);
-        if (mv_ec) {
-          throw io::JsonError("campaign: cannot move '" + tmp + "' to '" +
-                              out + "': " + mv_ec.message());
-        }
-      } else {
-        // Shards may be a mix of formats after a --format change; load
-        // dispatches per file.
-        std::vector<study::ResultTable> shards;
-        shards.reserve(shard_paths.size());
-        for (const std::string& p : shard_paths) {
-          shards.push_back(study::ResultTable::load(p));
-        }
-        const auto merged = study::merge_result_tables(std::move(shards));
-        // Identity-only bytes either way, so merged outputs stay
-        // byte-comparable across runs, worker counts, and formats.
-        WorkQueue::atomic_write(
-            out, binary ? io::columnar::encode_vbt(
-                              merged, /*include_provenance=*/false)
-                        : merged.canonical_text());
-      }
+      // Identity-only bytes, so merged outputs stay byte-comparable across
+      // runs, worker counts, and formats. VBT shard sets stream (bounded
+      // memory); a mix of formats after a --format change loads per file.
+      study::merge_artifacts(shard_paths, out, cfg.format);
       // After a --format change, drop the superseded other-format merged
       // file — a directory report must see each study exactly once.
       std::error_code sibling_ec;
       fs::remove(merged_output_path(queue, k, studies[k],
                                     binary ? ".json" : ".vbt"),
                  sibling_ec);
-      event(cfg, "study %zu: merged %zu shard(s) -> %s", k, count,
-            out.c_str());
+      event(cfg, "study %zu: merged %zu shard(s) -> %s", k,
+            shard_paths.size(), out.c_str());
       report.merged_outputs.push_back(out);
     } catch (const std::exception& e) {
       report.failures.push_back("study " + std::to_string(k) +

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <span>
 
 #include "src/io/columnar/format.h"
 #include "src/io/columnar/vbt.h"
@@ -63,6 +64,31 @@ class PaddedFile {
   std::FILE* f_;
   const std::string& path_;
   std::uint64_t pos_ = 0;
+};
+
+/// A shard's "seq" column read off its mapping: integer encodings through
+/// their typed spans, anything else through cell(). Values and errors are
+/// those of the in-memory merge's Json::as_uint64().
+class SeqColumn {
+ public:
+  SeqColumn(const MappedTable& m, std::size_t ci) : m_(m), ci_(ci) {
+    if (m.column_type(ci) == ColumnType::kU64) u64_ = m.u64_column(ci);
+    if (m.column_type(ci) == ColumnType::kI64) i64_ = m.i64_column(ci);
+  }
+
+  [[nodiscard]] std::uint64_t at(std::size_t r) const {
+    if (!u64_.empty()) return u64_[r];
+    if (!i64_.empty() && i64_[r] >= 0) {
+      return static_cast<std::uint64_t>(i64_[r]);
+    }
+    return m_.cell(r, ci_).as_uint64();  // throws on negatives
+  }
+
+ private:
+  const MappedTable& m_;
+  std::size_t ci_;
+  std::span<const std::uint64_t> u64_;
+  std::span<const std::int64_t> i64_;
 };
 
 }  // namespace
@@ -424,137 +450,61 @@ void StreamWriter::finish() {
   finished_ = true;
 }
 
-void stream_merge_vbt(const std::vector<std::string>& shard_paths,
-                      const std::string& out_path, bool include_provenance,
-                      std::size_t chunk_rows) {
-  if (shard_paths.empty()) {
-    // varlint: allow(error-names-path) -- no input file exists to name:
-    // the caller passed an empty shard list. Text mirrors
-    // study::merge_result_tables so both merge paths fail identically.
-    throw JsonError("merge: no shard tables given");
-  }
-
-  struct Shard {
-    std::shared_ptr<const MappedTable> mapped;
-    study::ResultTable meta;  // metadata only, rows empty
-  };
-  std::vector<Shard> shards;
+study::MergedShape stream_merge_vbt(const std::vector<std::string>& shard_paths,
+                                    const std::string& out_path,
+                                    bool include_provenance,
+                                    std::size_t chunk_rows) {
+  // Metadata only: each shard's rows stay on its mapping (the backing).
+  std::vector<ResultTable> shards;
   shards.reserve(shard_paths.size());
   for (const std::string& path : shard_paths) {
-    Shard s;
-    s.mapped = MappedTable::open(path);
-    // Metadata rides the exact JSON document to_json writes (minus
-    // "rows"), so from_json's validation applies unchanged.
-    Json doc = s.mapped->metadata();
-    doc.set("rows", Json::array());
-    try {
-      s.meta = study::ResultTable::from_json(doc);
-    } catch (const JsonError& e) {
-      throw JsonError("columnar artifact '" + path +
-                      "': metadata: " + e.what());
-    }
-    shards.push_back(std::move(s));
+    shards.push_back(read_metadata(MappedTable::open(path)));
   }
+  study::MergedShape shape{study::validate_merge(shards), 0};
+  const std::size_t ncols = shape.meta.columns.size();
+  const std::size_t seq_col = shape.meta.column_index("seq");
 
-  const std::size_t count = shards.front().meta.shard.count;
-  if (shards.size() != count) {
-    // varlint: allow(error-names-path) -- a cross-file cardinality defect:
-    // no single shard is the culprit. Text mirrors
-    // study::merge_result_tables so both merge paths fail identically.
-    throw JsonError("merge: got " + std::to_string(shards.size()) +
-                    " tables for a " + std::to_string(count) +
-                    "-shard study (need every shard exactly once)");
-  }
-  std::sort(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
-    return a.meta.shard.index < b.meta.shard.index;
-  });
-  const study::ResultTable& first = shards.front().meta;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const study::ResultTable& t = shards[i].meta;
-    if (t.shard.count != count) {
-      // varlint: allow(error-names-path) -- the shard label pinpoints the
-      // offender; text mirrors study::merge_result_tables byte for byte.
-      throw JsonError("merge: shard counts disagree (" + t.shard.label() +
-                      " vs ../" + std::to_string(count) + ")");
-    }
-    if (t.shard.index != i) {
-      // varlint: allow(error-names-path) -- the shard label pinpoints the
-      // offender; text mirrors study::merge_result_tables byte for byte.
-      throw JsonError("merge: shard " + std::to_string(i) + " is " +
-                      (t.shard.index < i ? "duplicated" : "missing") +
-                      " (have shard " + t.shard.label() + " instead)");
-    }
-    if (t.name != first.name || t.spec != first.spec || t.seed != first.seed ||
-        t.columns != first.columns) {
-      throw JsonError("merge: table " + std::to_string(i) + " ('" + t.name +
-                      "', seed " + std::to_string(t.seed) +
-                      ") does not belong to the same study as shard 0 ('" +
-                      first.name + "', seed " + std::to_string(first.seed) +
-                      ") — name, spec, seed, and columns must all match");
-    }
-  }
-
-  study::ResultTable proto;
-  proto.name = first.name;
-  proto.spec = first.spec;
-  proto.seed = first.seed;
-  proto.shard = study::ShardSpec{};  // unsharded normal form
-  proto.threads = 0;                 // mixed; provenance only
-  proto.columns = first.columns;
-  for (const Shard& s : shards) proto.wall_time_ms += s.meta.wall_time_ms;
-
-  const std::size_t ncols = first.columns.size();
-  const std::size_t seq_col = proto.column_index("seq");
+  std::vector<SeqColumn> seqs;
+  seqs.reserve(shards.size());
   bool all_sorted = true;
-  std::size_t total = 0;
-  for (const Shard& s : shards) {
-    const std::size_t nrows = s.mapped->num_rows();
-    total += nrows;
+  for (const ResultTable& s : shards) {
+    const SeqColumn& seq = seqs.emplace_back(*s.backing, seq_col);
+    const std::size_t nrows = s.backing->num_rows();
+    shape.num_rows += nrows;
     for (std::size_t r = 0; r + 1 < nrows && all_sorted; ++r) {
-      all_sorted = s.mapped->cell(r, seq_col).as_uint64() <=
-                   s.mapped->cell(r + 1, seq_col).as_uint64();
+      all_sorted = seq.at(r) <= seq.at(r + 1);
     }
   }
   if (!all_sorted) {
     // Hand-assembled artifacts with shuffled rows: bounded memory is off
     // the table anyway (the sort needs them all), so defer to the
     // in-memory merge and stream its output.
-    std::vector<study::ResultTable> tables;
+    std::vector<ResultTable> tables;
     tables.reserve(shards.size());
-    for (Shard& s : shards) tables.push_back(materialize(s.mapped));
-    const study::ResultTable merged =
-        study::merge_result_tables(std::move(tables));
+    for (const ResultTable& s : shards) tables.push_back(materialize(s.backing));
+    const ResultTable merged = study::merge_result_tables(std::move(tables));
     StreamWriter writer{out_path, merged, include_provenance, chunk_rows};
-    for (const study::Row& row : merged.rows) writer.append(row);
+    for (const Row& row : merged.rows) writer.append(row);
     writer.finish();
-    return;
+    return shape;
   }
 
-  StreamWriter writer{out_path, proto, include_provenance, chunk_rows};
+  StreamWriter writer{out_path, shape.meta, include_provenance, chunk_rows};
   std::vector<std::size_t> head(shards.size(), 0);
-  study::Row row;
-  for (std::size_t position = 0; position < total; ++position) {
+  Row row;
+  for (std::size_t position = 0; position < shape.num_rows; ++position) {
     std::size_t best = shards.size();
     std::uint64_t best_seq = 0;
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      if (head[s] >= shards[s].mapped->num_rows()) continue;
-      const std::uint64_t seq =
-          shards[s].mapped->cell(head[s], seq_col).as_uint64();
+      if (head[s] >= shards[s].backing->num_rows()) continue;
+      const std::uint64_t seq = seqs[s].at(head[s]);
       if (best == shards.size() || seq < best_seq) {
         best = s;
         best_seq = seq;
       }
     }
-    if (best_seq != position) {
-      // varlint: allow(error-names-path) -- the broken position/seq pair is
-      // the localizing context (the gap spans shards); text mirrors
-      // study::merge_result_tables byte for byte.
-      throw JsonError("merge: row sequence broken at position " +
-                      std::to_string(position) + " (seq " +
-                      std::to_string(best_seq) +
-                      ") — a shard is missing rows or two shards overlap");
-    }
-    const MappedTable& m = *shards[best].mapped;
+    study::check_merge_seq(position, best_seq);
+    const MappedTable& m = *shards[best].backing;
     row.clear();
     row.reserve(ncols);
     for (std::size_t ci = 0; ci < ncols; ++ci) {
@@ -564,6 +514,7 @@ void stream_merge_vbt(const std::vector<std::string>& shard_paths,
     writer.append(row);
   }
   writer.finish();
+  return shape;
 }
 
 }  // namespace varbench::io::columnar

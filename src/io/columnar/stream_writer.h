@@ -98,16 +98,16 @@ class StreamWriter {
 };
 
 /// K-way streaming merge of VBT shard artifacts into one merged VBT file,
-/// without materializing any table: shards are mmap'd, validated with the
-/// same rules as study::merge_result_tables (every shard exactly once,
-/// identity fields matching, merged seq must be 0..n-1), and their rows
-/// are merged in ascending "seq" order straight into a StreamWriter.
-/// Byte-exact with encode_vbt(merge_result_tables(shards)) for the same
-/// inputs. Shards whose rows are not seq-sorted fall back to the
-/// in-memory merge path (study runners always emit sorted shards).
-void stream_merge_vbt(const std::vector<std::string>& shard_paths,
-                      const std::string& out_path,
-                      bool include_provenance = true,
-                      std::size_t chunk_rows = StreamWriter::kDefaultChunkRows);
+/// without materializing any table: shards are mmap'd, checked by
+/// study::validate_merge (the validator merge_result_tables uses), and
+/// their rows are merged in ascending "seq" order straight into a
+/// StreamWriter. Byte-exact with encode_vbt(merge_result_tables(shards))
+/// for the same inputs. Shards whose rows are not seq-sorted fall back to
+/// the in-memory merge path (study runners always emit sorted shards).
+/// Most callers want study::merge_artifacts, which picks this path.
+study::MergedShape stream_merge_vbt(
+    const std::vector<std::string>& shard_paths, const std::string& out_path,
+    bool include_provenance = true,
+    std::size_t chunk_rows = StreamWriter::kDefaultChunkRows);
 
 }  // namespace varbench::io::columnar

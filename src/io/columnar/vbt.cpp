@@ -678,18 +678,10 @@ Json MappedTable::cell(std::size_t row, std::size_t ci) const {
 
 // ----------------------------------------------------------- materialize
 
-study::ResultTable materialize(std::shared_ptr<const MappedTable> mapped) {
-  const metrics::ScopedTimer materialize_timer{metrics::global_sink(),
-                                               metrics::kIoMaterializeNs};
-  trace::Tracer& tracer = trace::global_tracer();
-  const trace::ScopedSpan materialize_span{
-      tracer, trace::kIoVbtMaterialize,
-      tracer.is_enabled(trace::kIoVbtMaterialize)
-          ? file_span_ident(mapped->path())
-          : 0};
+study::ResultTable read_metadata(std::shared_ptr<const MappedTable> mapped) {
   // Metadata rides the exact JSON document to_json writes (minus "rows"),
   // so the JSON reader's validation — schema, spec round-trip, shard
-  // sanity — applies unchanged; the rows are then decoded column-wise.
+  // sanity — applies unchanged.
   Json doc = mapped->metadata();
   doc.set("rows", Json::array());
   study::ResultTable table;
@@ -699,6 +691,21 @@ study::ResultTable materialize(std::shared_ptr<const MappedTable> mapped) {
     throw JsonError("columnar artifact '" + mapped->path() +
                     "': metadata: " + e.what());
   }
+  table.backing = std::move(mapped);
+  return table;
+}
+
+study::ResultTable materialize(std::shared_ptr<const MappedTable> mapped) {
+  const metrics::ScopedTimer materialize_timer{metrics::global_sink(),
+                                               metrics::kIoMaterializeNs};
+  trace::Tracer& tracer = trace::global_tracer();
+  const trace::ScopedSpan materialize_span{
+      tracer, trace::kIoVbtMaterialize,
+      tracer.is_enabled(trace::kIoVbtMaterialize)
+          ? file_span_ident(mapped->path())
+          : 0};
+  // The rows are decoded column-wise onto the metadata table.
+  study::ResultTable table = read_metadata(mapped);
   const std::size_t ncols = mapped->num_columns();
   const std::size_t nrows = mapped->num_rows();
   // Row-major decode (rows are row vectors, so this is the allocation
@@ -759,7 +766,6 @@ study::ResultTable materialize(std::shared_ptr<const MappedTable> mapped) {
     }
     table.rows.push_back(std::move(row));
   }
-  table.backing = std::move(mapped);
   return table;
 }
 

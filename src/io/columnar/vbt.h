@@ -119,6 +119,12 @@ class MappedTable {
   std::vector<Column> columns_;
 };
 
+/// The table `mapped` holds, minus its rows: the metadata block parsed
+/// through ResultTable::from_json (errors name the path), with `mapped`
+/// attached as its backing.
+[[nodiscard]] study::ResultTable read_metadata(
+    std::shared_ptr<const MappedTable> mapped);
+
 /// Build the in-memory ResultTable for `mapped`, reusing the JSON reader's
 /// validation (the metadata block plus decoded rows go through
 /// ResultTable::from_json), and attach `mapped` as the table's backing so

@@ -1,10 +1,9 @@
-// The shared driver behind `varbench bench [--gate]` and tools/bench_gate:
-// run the instrumented microbench suites, print a markdown trajectory
-// table (terminal-readable, and exactly what CI pipes into its step
-// summary), append min-of-N rows to bench/BENCH_exec.json /
-// bench/BENCH_campaign.json / bench/BENCH_stats.json, and — in gate
-// mode — fail on regressions beyond the noise band
-// (src/metrics/trajectory.h).
+// The driver behind `varbench bench [--gate]`: run the instrumented
+// microbench suites, print a markdown trajectory table (terminal-readable,
+// and exactly what CI pipes into its step summary), append min-of-N rows
+// to bench/BENCH_exec.json / bench/BENCH_campaign.json /
+// bench/BENCH_stats.json, and — in gate mode — fail on regressions beyond
+// the noise band (src/metrics/trajectory.h).
 #pragma once
 
 #include <cstdio>

@@ -5,11 +5,11 @@
 // an append-only log of min-of-N microbench timings:
 //   {"schema": "varbench.bench_trajectory.v1",
 //    "rows": [{"bench", "unit", "min_ns", "repeats", "version", "label"}]}
-// Each `tools/bench_gate` (or `varbench bench`) run appends one row per
-// microbench. The gate compares the fresh min-of-N against the BEST prior
-// min for the same bench name: min-of-N already strips scheduler noise,
-// and comparing against the historical best means a slow machine can only
-// add new (higher) rows, never loosen the baseline.
+// Each `varbench bench` run appends one row per microbench. The gate
+// compares the fresh min-of-N against the BEST prior min for the same
+// bench name: min-of-N already strips scheduler noise, and comparing
+// against the historical best means a slow machine can only add new
+// (higher) rows, never loosen the baseline.
 #pragma once
 
 #include <cstdint>

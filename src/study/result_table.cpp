@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
+#include "src/io/columnar/stream_writer.h"
 #include "src/io/columnar/vbt.h"
 #include "src/io/spec_reader.h"
 
@@ -266,7 +268,7 @@ ResultTable ResultTable::load(const std::string& path) {
   }
 }
 
-ResultTable merge_result_tables(std::vector<ResultTable> shards) {
+ResultTable validate_merge(std::vector<ResultTable>& shards) {
   if (shards.empty()) {
     throw io::JsonError("merge: no shard tables given");
   }
@@ -276,10 +278,10 @@ ResultTable merge_result_tables(std::vector<ResultTable> shards) {
                         " tables for a " + std::to_string(count) +
                         "-shard study (need every shard exactly once)");
   }
-  std::sort(shards.begin(), shards.end(),
-            [](const ResultTable& a, const ResultTable& b) {
-              return a.shard.index < b.shard.index;
-            });
+  std::stable_sort(shards.begin(), shards.end(),
+                   [](const ResultTable& a, const ResultTable& b) {
+                     return a.shard.index < b.shard.index;
+                   });
   const ResultTable& first = shards.front();
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ResultTable& t = shards[i];
@@ -312,11 +314,25 @@ ResultTable merge_result_tables(std::vector<ResultTable> shards) {
   merged.shard = ShardSpec{};  // unsharded normal form
   merged.threads = 0;          // mixed; provenance only
   merged.columns = first.columns;
+  for (const ResultTable& t : shards) merged.wall_time_ms += t.wall_time_ms;
+  return merged;
+}
+
+void check_merge_seq(std::size_t position, std::uint64_t seq) {
+  if (seq != position) {
+    throw io::JsonError(
+        "merge: row sequence broken at position " + std::to_string(position) +
+        " (seq " + std::to_string(seq) + ") — a shard is missing rows or " +
+        "two shards overlap");
+  }
+}
+
+ResultTable merge_result_tables(std::vector<ResultTable> shards) {
+  ResultTable merged = validate_merge(shards);
   const std::size_t seq_col = merged.column_index("seq");
   std::size_t total = 0;
   bool all_sorted = true;
-  for (ResultTable& t : shards) {
-    merged.wall_time_ms += t.wall_time_ms;
+  for (const ResultTable& t : shards) {
     total += t.rows.size();
     for (std::size_t r = 0; r + 1 < t.rows.size() && all_sorted; ++r) {
       all_sorted = t.rows[r][seq_col].as_uint64() <=
@@ -354,15 +370,43 @@ ResultTable merge_result_tables(std::vector<ResultTable> shards) {
                      });
   }
   for (std::size_t i = 0; i < merged.rows.size(); ++i) {
-    const std::uint64_t seq = merged.rows[i][seq_col].as_uint64();
-    if (seq != i) {
-      throw io::JsonError(
-          "merge: row sequence broken at position " + std::to_string(i) +
-          " (seq " + std::to_string(seq) + ") — a shard is missing rows or " +
-          "two shards overlap");
-    }
+    check_merge_seq(i, merged.rows[i][seq_col].as_uint64());
   }
   return merged;
+}
+
+MergedShape merge_artifacts(const std::vector<std::string>& shard_paths,
+                            const std::string& out_path,
+                            ArtifactFormat format) {
+  if (format == ArtifactFormat::kAuto) format = infer_artifact_format(out_path);
+  // The inputs stay open (mapped) until the merge is done, so the output
+  // goes to a side file first: out_path may be one of them.
+  const std::string tmp = out_path + ".tmp-merge";
+  MergedShape shape;
+  if (format == ArtifactFormat::kBinary &&
+      std::all_of(shard_paths.begin(), shard_paths.end(),
+                  file_has_vbt_magic)) {
+    shape = io::columnar::stream_merge_vbt(shard_paths, tmp,
+                                           /*include_provenance=*/false);
+  } else {
+    std::vector<ResultTable> shards;
+    shards.reserve(shard_paths.size());
+    for (const std::string& path : shard_paths) {
+      shards.push_back(ResultTable::load(path));
+    }
+    ResultTable merged = merge_result_tables(std::move(shards));
+    merged.save(tmp, format, /*include_provenance=*/false);
+    shape.num_rows = merged.rows.size();
+    merged.rows = std::vector<Row>{};  // free them; callers get metadata
+    shape.meta = std::move(merged);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, out_path, ec);
+  if (ec) {
+    throw io::JsonError("merge: cannot move '" + tmp + "' to '" + out_path +
+                        "': " + ec.message());
+  }
+  return shape;
 }
 
 }  // namespace varbench::study

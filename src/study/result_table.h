@@ -143,4 +143,35 @@ class ResultTable {
 /// Throws io::JsonError on incompatible, missing, or overlapping shards.
 [[nodiscard]] ResultTable merge_result_tables(std::vector<ResultTable> shards);
 
+/// The one merge validator, called by merge_result_tables and by the
+/// streamed VBT merge (io::columnar::stream_merge_vbt) so both fail with
+/// the same messages. Checks that `shards` (rows ignored) hold every shard
+/// of one study exactly once, with matching name, spec, seed and columns;
+/// sorts them by shard index; and returns the merged table's metadata with
+/// no rows: unsharded, threads = 0, wall_time_ms = Σ shard wall times.
+[[nodiscard]] ResultTable validate_merge(std::vector<ResultTable>& shards);
+
+/// Throws the merge's sequence-break error unless the row merged at
+/// `position` carries seq == position (both merge paths call it).
+void check_merge_seq(std::size_t position, std::uint64_t seq);
+
+/// A merged table's metadata (rows left empty) and its row count: enough
+/// to describe a merged artifact without reading its rows back.
+struct MergedShape {
+  ResultTable meta;
+  std::size_t num_rows = 0;
+};
+
+/// Merge shard artifact files into one canonical (identity-only) artifact
+/// at `out_path` (kAuto: see infer_artifact_format). When every input opens
+/// with the VBT1 magic and the output is binary, the shards stream through
+/// io::columnar::stream_merge_vbt: peak memory is the mapped inputs plus
+/// one row-group chunk. Otherwise (JSON or mixed inputs, JSON output) they
+/// load and go through merge_result_tables. The bytes are the same either
+/// way. Both write `<out_path>.tmp-merge` and rename it into place, so
+/// `out_path` may name one of the (mapped) inputs.
+MergedShape merge_artifacts(const std::vector<std::string>& shard_paths,
+                            const std::string& out_path,
+                            ArtifactFormat format = ArtifactFormat::kAuto);
+
 }  // namespace varbench::study

@@ -583,6 +583,13 @@ std::string list_study_kinds_json() {
   return doc.dump(2) + "\n";
 }
 
+void print_shape_line(const ResultTable& meta, std::size_t num_rows,
+                      std::FILE* out) {
+  std::fprintf(out, "'%s': %zu rows × %zu columns (seed %llu)\n",
+               meta.name.c_str(), num_rows, meta.columns.size(),
+               static_cast<unsigned long long>(meta.seed));
+}
+
 void print_summary(const ResultTable& table, std::FILE* out) {
   if (!table.is_complete()) {
     std::fprintf(out,
@@ -593,9 +600,7 @@ void print_summary(const ResultTable& table, std::FILE* out) {
     return;
   }
   if (!table.spec.has_value()) {
-    std::fprintf(out, "'%s': %zu rows × %zu columns (seed %llu)\n",
-                 table.name.c_str(), table.rows.size(), table.columns.size(),
-                 static_cast<unsigned long long>(table.seed));
+    print_shape_line(table, table.rows.size(), out);
     return;
   }
   if (const auto* def = figures::find_figure(table.spec->kind)) {

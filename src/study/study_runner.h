@@ -48,6 +48,11 @@ void validate_study_spec(const StudySpec& spec);
 /// partial (shard) table, prints a note pointing at `varbench merge`.
 void print_summary(const ResultTable& table, std::FILE* out);
 
+/// print_summary's line for a complete table without a spec, from its
+/// metadata and row count alone: "'name': R rows × C columns (seed S)".
+void print_shape_line(const ResultTable& meta, std::size_t num_rows,
+                      std::FILE* out);
+
 /// One row of `varbench list`: everything a user needs to write a spec for
 /// the kind — its name, what it reproduces, whether `--shard` applies, and
 /// the `--set params.<key>` knobs it accepts.

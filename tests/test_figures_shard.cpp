@@ -3,7 +3,14 @@
 // shard at a DIFFERENT thread count — and merging the artifacts must be
 // bit-identical to the unsharded run, because every repetition/grid unit
 // runs on an RNG stream keyed by its global index (docs/study_api.md).
+// The summary `varbench merge` prints must not depend on whether the merge
+// streamed to a file or ran in memory.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "src/study/figures/figures.h"
 #include "src/study/result_table.h"
@@ -142,6 +149,62 @@ TEST(FigureShard, ArtifactsSurviveSerialization) {
   }
   const ResultTable merged = merge_result_tables(std::move(shards));
   EXPECT_EQ(merged.canonical_text(), unsharded.canonical_text());
+}
+
+/// Everything `print` writes to its FILE*, as a string.
+template <class Print>
+std::string printed(Print print) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  print(f);
+  std::fclose(f);
+  std::string text{buf, len};
+  std::free(buf);
+  return text;
+}
+
+TEST(FigureShard, MergeSummaryIsTheSameStreamedOrInMemory) {
+  // `varbench merge --out x.vbt` streams, then prints a spec-less table's
+  // line from the merged metadata and a spec'd table's summary from the
+  // merged file read back. Without --out it prints from the in-memory
+  // merge. Both must print the same text.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("varbench_merge_summary_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::create_directories(dir);
+  const StudySpec spec = tiny_figure_spec(StudyKind::kFig06DetectionRates);
+  for (const bool with_spec : {true, false}) {
+    SCOPED_TRACE(with_spec ? "spec'd figure table" : "spec-less table");
+    std::vector<ResultTable> shards;
+    std::vector<std::string> paths;
+    for (std::size_t i = 0; i < 2; ++i) {
+      StudySpec shard_spec = spec;
+      shard_spec.shard = ShardSpec{i, 2};
+      ResultTable t = run_study(shard_spec);
+      if (!with_spec) t.spec.reset();
+      paths.push_back((dir / ("s" + std::to_string(i) + ".vbt")).string());
+      t.save(paths.back());
+      shards.push_back(std::move(t));
+    }
+    const std::string in_memory = printed([&](std::FILE* f) {
+      print_summary(merge_result_tables(shards), f);
+    });
+    const std::string out = (dir / "merged.vbt").string();
+    const MergedShape shape = merge_artifacts(paths, out);
+    const std::string streamed = printed([&](std::FILE* f) {
+      if (shape.meta.spec.has_value()) {
+        print_summary(ResultTable::load(out), f);
+      } else {
+        print_shape_line(shape.meta, shape.num_rows, f);
+      }
+    });
+    EXPECT_FALSE(in_memory.empty());
+    EXPECT_EQ(streamed, in_memory);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

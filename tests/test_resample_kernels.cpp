@@ -7,12 +7,16 @@
 //     account every replicate to stats.resamples;
 //   - StreamWriter::finish() and stream_merge_vbt produce the exact bytes
 //     of the one-shot encode_vbt path, at any chunk size, including
-//     non-divisor tails and every cell encoding.
+//     non-divisor tails and every cell encoding;
+//   - both merge paths reject bad shard sets with the same message, and
+//     study::merge_artifacts gives the in-memory bytes for mixed inputs
+//     and for an output that overwrites one of its inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -440,21 +444,140 @@ TEST(StreamMerge, UnsortedShardFallsBackToInMemoryPathSameBytes) {
             io::columnar::encode_vbt(merged, /*include_provenance=*/false));
 }
 
-TEST(StreamMerge, RejectsIncompleteShardSets) {
+/// One bad shard set: how to spoil two seq-striped shards of a 10-row
+/// table, and the start of the message both merge paths must throw.
+struct BadShardSet {
+  const char* label;
+  void (*spoil)(std::vector<study::ResultTable>&);
+  const char* message;
+};
+
+const BadShardSet kBadShardSets[] = {
+    {"no shards", [](auto& s) { s.clear(); }, "merge: no shard tables given"},
+    {"count mismatch", [](auto& s) { s.pop_back(); },
+     "merge: got 1 tables for a 2-shard study"},
+    {"counts disagree", [](auto& s) { s[1].shard = study::ShardSpec{1, 3}; },
+     "merge: shard counts disagree (1/3 vs ../2)"},
+    {"missing shard",
+     [](auto& s) {
+       s.push_back(s[1]);
+       for (auto& t : s) t.shard.count = 3;
+       s[1].shard.index = 2;
+       s[2].shard.index = 2;
+     },
+     "merge: shard 1 is missing (have shard 2/3 instead)"},
+    {"duplicated shard", [](auto& s) { s[1].shard.index = 0; },
+     "merge: shard 1 is duplicated (have shard 0/2 instead)"},
+    {"foreign study", [](auto& s) { s[1].seed += 1; },
+     "merge: table 1 ('stream:all_types', seed 78) does not belong"},
+    {"overlapping seq",
+     [](auto& s) { s[1].rows.insert(s[1].rows.begin(), s[0].rows[0]); },
+     "merge: row sequence broken at position 1 (seq 0)"},
+    {"gapped seq", [](auto& s) { s[1].rows.erase(s[1].rows.begin() + 2); },
+     "merge: row sequence broken at position 5 (seq 6)"},
+};
+
+TEST(StreamMerge, RejectsBadShardSetsLikeTheInMemoryMerge) {
   const TempDir tmp;
-  const auto full = all_types_table(8);
-  auto shards = stripe_shards(full, 2);
-  const std::string p0 = tmp.path("only0.vbt");
-  io::columnar::write_vbt(p0, shards[0]);
-  try {
-    io::columnar::stream_merge_vbt({p0}, tmp.path("nope.vbt"));
-    FAIL() << "incomplete shard set must throw";
-  } catch (const io::JsonError& e) {
-    EXPECT_NE(std::string{e.what()}.find("merge: got 1 tables"),
-              std::string::npos)
-        << e.what();
+  for (const BadShardSet& bad : kBadShardSets) {
+    SCOPED_TRACE(bad.label);
+    auto shards = stripe_shards(all_types_table(10), 2);
+    bad.spoil(shards);
+    std::vector<std::string> paths;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      paths.push_back(tmp.path("bad" + std::to_string(s) + ".vbt"));
+      io::columnar::write_vbt(paths.back(), shards[s]);
+    }
+    std::string in_memory;
+    try {
+      (void)study::merge_result_tables(shards);
+      ADD_FAILURE() << "in-memory merge must throw";
+    } catch (const io::JsonError& e) {
+      in_memory = e.what();
+    }
+    const std::string out = tmp.path("nope.vbt");
+    try {
+      io::columnar::stream_merge_vbt(paths, out);
+      ADD_FAILURE() << "streamed merge must throw";
+    } catch (const io::JsonError& e) {
+      EXPECT_EQ(std::string{e.what()}, in_memory);
+    }
+    EXPECT_EQ(in_memory.rfind(bad.message, 0), 0u) << in_memory;
+    EXPECT_FALSE(fs::exists(out));
+    EXPECT_FALSE(fs::exists(out + ".spill"));
   }
-  EXPECT_FALSE(fs::exists(tmp.path("nope.vbt")));
+}
+
+TEST(StreamMerge, MixedJsonAndVbtInputsGiveTheInMemoryBytes) {
+  const TempDir tmp;
+  auto shards = stripe_shards(all_types_table(17), 2);
+  const std::vector<std::string> paths = {tmp.path("m0.json"),
+                                          tmp.path("m1.vbt")};
+  shards[0].save(paths[0]);
+  shards[1].save(paths[1]);
+  const std::string golden = io::columnar::encode_vbt(
+      study::merge_result_tables(std::move(shards)),
+      /*include_provenance=*/false);
+  const std::string out = tmp.path("mixed.vbt");
+  const study::MergedShape shape = study::merge_artifacts(paths, out);
+  EXPECT_EQ(io::read_file(out), golden);
+  EXPECT_EQ(shape.num_rows, 17u);
+  EXPECT_FALSE(fs::exists(out + ".tmp-merge"));
+}
+
+TEST(StreamMerge, StreamsOnlyVbtInputsToBinaryOutput) {
+  // The routing rule: all-VBT1 inputs to a binary output never build a
+  // table; a JSON output takes the in-memory path (one table per shard).
+  const TempDir tmp;
+  auto shards = stripe_shards(all_types_table(9), 3);
+  std::vector<std::string> paths;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    paths.push_back(tmp.path("r" + std::to_string(s) + ".vbt"));
+    shards[s].save(paths.back());
+  }
+  metrics::Sink& sink = metrics::global_sink();
+  sink.enable(metrics::kIoMaterializeNs);
+  const auto materialized = [&](const std::string& out) {
+    sink.reset();
+    (void)study::merge_artifacts(paths, out);
+    const metrics::Snapshot snap = sink.snapshot();
+    const auto* entry = snap.find(metrics::kIoMaterializeNs);
+    return entry == nullptr ? std::uint64_t{0} : entry->count;
+  };
+  EXPECT_EQ(materialized(tmp.path("streamed.vbt")), 0u);
+  EXPECT_EQ(materialized(tmp.path("in_memory.json")), 3u);
+  sink.disable(metrics::kIoMaterializeNs);
+}
+
+TEST(StreamMerge, OutputMayOverwriteAMappedInput) {
+  const TempDir tmp;
+  for (const char* ext : {".vbt", ".json"}) {
+    SCOPED_TRACE(ext);
+    const bool binary = std::string{ext} == ".vbt";
+    auto shards = stripe_shards(all_types_table(21), 3);
+    std::vector<std::string> paths;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      paths.push_back(tmp.path("o" + std::to_string(s) + ext));
+      shards[s].save(paths.back());
+    }
+    const std::string shard0 = shards[0].canonical_text();
+    const study::ResultTable merged =
+        study::merge_result_tables(std::move(shards));
+    // A reader that still maps the first shard must keep seeing it while
+    // the merge replaces the file of that name: the output is written
+    // beside it and renamed into place, never written over it.
+    std::shared_ptr<const io::columnar::MappedTable> held;
+    if (binary) held = io::columnar::MappedTable::open(paths[0]);
+    const study::MergedShape shape = study::merge_artifacts(paths, paths[0]);
+    EXPECT_EQ(io::read_file(paths[0]),
+              binary ? io::columnar::encode_vbt(merged, false)
+                     : merged.canonical_text());
+    if (held) {
+      EXPECT_EQ(io::columnar::materialize(held).canonical_text(), shard0);
+    }
+    EXPECT_EQ(shape.num_rows, merged.rows.size());
+    EXPECT_EQ(shape.meta.meta_json().dump(), merged.meta_json().dump());
+  }
 }
 
 }  // namespace

@@ -382,18 +382,31 @@ int cmd_merge(const Args& a) {
                  "(a campaign state dir merges its artifacts/)\n");
     return 2;
   }
-  std::vector<study::ResultTable> shards;
+  std::vector<std::string> paths;
   for (const auto& operand : a.positional) {
-    for (const auto& path : expand_shard_paths(operand)) {
-      shards.push_back(study::ResultTable::load(path));
+    for (auto& path : expand_shard_paths(operand)) {
+      paths.push_back(std::move(path));
     }
   }
-  const auto merged = study::merge_result_tables(std::move(shards));
-  // A merged artifact has no single producing process; it is always
-  // written in canonical (identity-only) form.
+  study::ResultTable merged;
   if (const std::string* out = a.find("out")) {
-    merged.save(*out, opt_artifact_format(a), /*include_provenance=*/false);
+    // A merged artifact has no single producing process; it is always
+    // written in canonical (identity-only) form, streamed when it can be.
+    const study::MergedShape shape =
+        study::merge_artifacts(paths, *out, opt_artifact_format(a));
     std::fprintf(stderr, "wrote %s\n", out->c_str());
+    if (!shape.meta.spec.has_value() && a.find("csv") == nullptr) {
+      study::print_shape_line(shape.meta, shape.num_rows, stdout);
+      return 0;
+    }
+    // The CSV and the spec'd summaries need the rows: read them back once.
+    merged = study::ResultTable::load(*out);
+  } else {
+    std::vector<study::ResultTable> shards;
+    for (const std::string& path : paths) {
+      shards.push_back(study::ResultTable::load(path));
+    }
+    merged = study::merge_result_tables(std::move(shards));
   }
   if (const std::string* csv = a.find("csv")) {
     io::write_file(*csv, merged.to_csv());
