@@ -154,10 +154,10 @@ Sink::Shard& Sink::shard_for_this_thread() {
   return *expected;  // another thread on this slot won the race
 }
 
-void Sink::record(MetricId id, std::uint64_t value) {
+void Sink::record(MetricId id, std::uint64_t value, std::uint64_t events) {
   Shard& shard = shard_for_this_thread();
   std::atomic<std::uint64_t>* cells = shard.cells.get() + id * kCellsPerMetric;
-  cells[0].fetch_add(1, std::memory_order_relaxed);
+  cells[0].fetch_add(events, std::memory_order_relaxed);
   cells[1].fetch_add(value, std::memory_order_relaxed);
   const MetricKind kind = metric_defs()[id].kind;
   if (kind != MetricKind::kCounter) {

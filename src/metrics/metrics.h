@@ -191,6 +191,13 @@ class Sink {
     record(id, delta);
   }
 
+  /// n unit counter increments at once: the same totals (sum += n,
+  /// count += n) as n add(id) calls, for block draws. No-op when disabled.
+  void add_n(MetricId id, std::uint64_t n) {
+    if (n == 0 || !is_enabled(id)) return;
+    record(id, n, n);
+  }
+
   /// Histogram/timer observation: sum += value, count += 1,
   /// bins[bin_index(value)] += 1. No-op when disabled.
   void observe(MetricId id, std::uint64_t value) {
@@ -231,7 +238,9 @@ class Sink {
     std::unique_ptr<std::atomic<std::uint64_t>[]> cells;
   };
 
-  void record(MetricId id, std::uint64_t value);
+  // count += events, sum += value; timers/histograms bin `value` once
+  // (they always record one event).
+  void record(MetricId id, std::uint64_t value, std::uint64_t events = 1);
   [[nodiscard]] Shard& shard_for_this_thread();
 
   std::vector<std::uint8_t> enabled_;

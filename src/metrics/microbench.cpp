@@ -16,6 +16,7 @@
 #include "src/rngx/rng.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
+#include "src/stats/tests.h"
 #include "src/trace/trace.h"
 
 namespace varbench::metrics {
@@ -249,6 +250,21 @@ std::vector<MicrobenchResult> run_stats_microbenches(
         });
         const std::uint64_t ns = sw.elapsed_ns();
         sink_value += statistics.front() + loo.front();
+        return ns;
+      }));
+
+  // The paired sign-flip permutation test: one block of n draws per
+  // permutation, fused into the sign-bit XOR sum.
+  std::vector<double> y(n);
+  for (double& v : y) v = data_rng.normal(1.0, 0.25);
+  results.push_back(
+      min_of("stats.paired_permutation_kernel", "ns", opts.repeats, [&] {
+        rngx::Rng rng{1};
+        const Stopwatch sw;
+        const auto test =
+            stats::paired_permutation_test(ctx, x, y, rng, resamples);
+        const std::uint64_t ns = sw.elapsed_ns();
+        sink_value += test.p_value;
         return ns;
       }));
 

@@ -46,7 +46,8 @@ struct MicrobenchResult {
 /// pair is the speedup record of the resampling-kernel rewrite
 /// (src/stats/resample_kernels.h). Both paths draw identical RNG streams,
 /// so they compute bit-identical intervals; only the memory traffic
-/// differs.
+/// differs. stats.paired_permutation_kernel times the paired sign-flip
+/// permutation test on the same n, one permutation per resample.
 [[nodiscard]] std::vector<MicrobenchResult> run_stats_microbenches(
     const MicrobenchOptions& opts);
 

@@ -9,10 +9,6 @@
 namespace varbench::rngx {
 
 namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // next_u64 is the hottest function in the tree, so go through a cached
 // reference: add() inlines to the one-branch is_enabled gate with no
 // global_sink() call per draw. Totals stay thread-count-invariant because
@@ -30,15 +26,11 @@ void Rng::reseed(std::uint64_t seed) {
 
 std::uint64_t Rng::next_u64() {
   g_sink.add(metrics::kRngxDraws);
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
+  return step(state_);
+}
+
+void Rng::count_draws(std::uint64_t n) {
+  g_sink.add_n(metrics::kRngxDraws, n);
 }
 
 double Rng::uniform() {

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -75,6 +77,19 @@ class Rng {
   [[nodiscard]] std::uint64_t next_u64();
   std::uint64_t operator()() { return next_u64(); }
 
+  /// Block draw: calls `f(i, r)` for i in [0, n) with the same n draws, in
+  /// the same order, as n next_u64() calls, and leaves the same state and
+  /// the same rngx.draws totals (sum and count). The engine step inlines
+  /// into the caller's loop on a local copy of the state, so the kernels
+  /// pay no call per draw; `f` must not touch this Rng.
+  template <typename F>
+  void for_each_u64(std::size_t n, F&& f) {
+    count_draws(n);
+    std::array<std::uint64_t, 4> s = state_;
+    for (std::size_t i = 0; i < n; ++i) f(i, step(s));
+    state_ = s;
+  }
+
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ULL; }
 
@@ -113,6 +128,22 @@ class Rng {
   [[nodiscard]] Rng split(std::string_view tag);
 
  private:
+  /// The xoshiro256++ step — the only definition of the engine.
+  static std::uint64_t step(std::array<std::uint64_t, 4>& s) {
+    const std::uint64_t result = std::rotl(s[0] + s[3], 23) + s[0];
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = std::rotl(s[3], 45);
+    return result;
+  }
+
+  /// Records n rngx.draws events, as n next_u64() calls would.
+  static void count_draws(std::uint64_t n);
+
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

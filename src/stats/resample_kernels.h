@@ -6,24 +6,36 @@
 // per-thread reusable scratch (src/exec/scratch.h) and (b) fused
 // gather+accumulate loops over std::span<const double> — tight, branch-
 // light inner loops over contiguous data (VBT column spans qualify
-// zero-copy), with no allocation in steady state.
+// zero-copy), with no allocation in steady state. Draws come through
+// Rng::for_each_u64, which inlines the engine step into the kernel's loop:
+// no call per draw, no draw buffer.
 //
 // Bit-identity contract: every kernel reproduces the historical
 // vector-materializing path exactly —
 //   - fill_bootstrap_indices consumes rng draws in the same order as n
-//     calls to Rng::uniform_index(pool) (the Lemire rejection threshold is
-//     hoisted out of the loop; it depends only on `pool`, so the draw
-//     sequence and accepted values are unchanged);
+//     calls to Rng::uniform_index(pool) and keeps the same values. The
+//     Lemire rejection threshold is hoisted (it depends only on `pool`).
+//     Each block draws exactly the remaining shortfall, and only a
+//     rejection leaves one, so no draw is taken past the n-th accepted
+//     one. `r % pool` is the exact multiply-based remainder of
+//     ExactRemainder, equal to the division for every r and pool;
+//   - signflip_mean_extreme replaces bernoulli(0.5) ? d : -d with a
+//     sign-bit XOR. bernoulli(0.5) is (r >> 11) * 2^-53 < 0.5, which holds
+//     exactly when bit 63 of r is 0, and IEEE negation flips the sign bit
+//     and nothing else (zeros, subnormals, infinities and NaNs included);
 //   - the fused accumulators add in the same left-to-right order as the
 //     statistics they replace (gather_mean == stats::mean of the gathered
 //     copy, gather_win_rate == probability_of_outperforming of the
-//     gathered pairs, and so on);
+//     gathered pairs — its half-win count is an exact integer below 2^53,
+//     and so on);
 // so CIs, p-values, and golden report renders are byte-identical to the
 // pre-kernel implementation. The one documented exception is the linear-
 // time jackknife above kJackknifeLinearThreshold (see jackknife_mean_loo).
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -34,10 +46,37 @@
 
 namespace varbench::stats::kernels {
 
+/// r % pool without a division (Lemire, Kaser & Kurz 2019, "Faster
+/// remainder by direct computation"). With M = ceil(2^128 / pool), the
+/// remainder is the high 64 bits of ((M * r) mod 2^128) * pool, exact for
+/// every 64-bit r and pool >= 1; pool == 1 wraps M to 0 and yields 0.
+class ExactRemainder {
+ public:
+  using U128 = unsigned __int128;
+
+  explicit ExactRemainder(std::uint64_t pool)
+      : pool_{pool}, m_{~U128{0} / pool + 1} {}
+
+  [[nodiscard]] std::uint64_t operator()(std::uint64_t r) const {
+    const U128 low = m_ * r;
+    // (low * pool) >> 128 as two 64x64->128 products.
+    const U128 carry =
+        (static_cast<U128>(static_cast<std::uint64_t>(low)) * pool_) >> 64;
+    const U128 high =
+        static_cast<U128>(static_cast<std::uint64_t>(low >> 64)) * pool_;
+    return static_cast<std::uint64_t>((high + carry) >> 64);
+  }
+
+ private:
+  std::uint64_t pool_;
+  U128 m_;
+};
+
 /// Fill `idx` with uniform indices in [0, pool), bit-identical to calling
-/// `rng.uniform_index(pool)` once per element (same draws, same values) —
-/// the bootstrap index-block primitive. IdxT is u32 in practice; callers
-/// fall back to u64 for pools beyond 2^32-1 elements.
+/// `rng.uniform_index(pool)` once per element (same draws, same values,
+/// same final Rng state) — the bootstrap index-block primitive. IdxT is
+/// u32 in practice; callers fall back to u64 for pools beyond 2^32-1
+/// elements.
 template <typename IdxT>
 inline void fill_bootstrap_indices(rngx::Rng& rng, std::uint64_t pool,
                                    std::span<IdxT> idx) {
@@ -45,10 +84,16 @@ inline void fill_bootstrap_indices(rngx::Rng& rng, std::uint64_t pool,
   if (pool == 0) throw std::invalid_argument("uniform_index: n == 0");
   // Lemire rejection exactly as Rng::uniform_index, threshold hoisted.
   const std::uint64_t threshold = (~pool + 1) % pool;  // (2^64 - pool) % pool
-  for (IdxT& v : idx) {
-    std::uint64_t r = rng.next_u64();
-    while (r < threshold) r = rng.next_u64();
-    v = static_cast<IdxT>(r % pool);
+  const ExactRemainder remainder{pool};
+  std::size_t filled = 0;
+  while (filled < idx.size()) {
+    // Draw exactly the shortfall: after k draws of this block at most k
+    // were accepted, so every accepted index lands in bounds.
+    std::size_t accepted = filled;
+    rng.for_each_u64(idx.size() - filled, [&](std::size_t, std::uint64_t r) {
+      if (r >= threshold) idx[accepted++] = static_cast<IdxT>(remainder(r));
+    });
+    filled = accepted;
   }
 }
 
@@ -76,15 +121,16 @@ template <typename IdxT>
 [[nodiscard]] inline double gather_win_rate(std::span<const double> a,
                                             std::span<const double> b,
                                             std::span<const IdxT> idx) {
-  double wins = 0.0;
+  // Two per win, one per tie: probability_of_outperforming's 1.0/0.5
+  // double sums are exact below 2^53, so halving this count gives the
+  // same bits.
+  std::uint64_t half_wins = 0;
   for (const IdxT i : idx) {
-    if (a[i] > b[i]) {
-      wins += 1.0;
-    } else if (a[i] == b[i]) {
-      wins += 0.5;
-    }
+    half_wins += 2 * static_cast<std::uint64_t>(a[i] > b[i]) +
+                 static_cast<std::uint64_t>(a[i] == b[i]);
   }
-  return wins / static_cast<double>(idx.size());
+  return static_cast<double>(half_wins) * 0.5 /
+         static_cast<double>(idx.size());
 }
 
 /// In-place Fisher–Yates over a span: same draws and swaps as
@@ -111,12 +157,18 @@ inline void span_shuffle(std::span<T> v, rngx::Rng& rng) {
 
 /// One sign-flip replicate of the paired permutation test: flips each
 /// difference by a bernoulli(0.5) draw (same draw order as ever) and
-/// reports whether |mean| reached `threshold`.
+/// reports whether |mean| reached `threshold`. bernoulli(0.5) is false
+/// exactly when bit 63 of the draw is set, so that bit is XORed into the
+/// difference's sign bit: no branch, same additions, same bits.
 [[nodiscard]] inline bool signflip_mean_extreme(std::span<const double> d,
                                                 double threshold,
                                                 rngx::Rng& rng) {
+  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
   double sum = 0.0;
-  for (const double di : d) sum += rng.bernoulli(0.5) ? di : -di;
+  rng.for_each_u64(d.size(), [&](std::size_t i, std::uint64_t r) {
+    sum += std::bit_cast<double>(std::bit_cast<std::uint64_t>(d[i]) ^
+                                 (r & kSignBit));
+  });
   return std::abs(sum / static_cast<double>(d.size())) >= threshold;
 }
 

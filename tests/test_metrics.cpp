@@ -3,8 +3,8 @@
 // nothing and calls nothing, integer log2 histogram goldens, shard merges
 // that are bit-identical at any thread count, metrics-as-provenance
 // (enabling metrics never changes study artifact bytes), the snapshot →
-// ResultTable → report bridge, and the perf-trajectory gate's regression
-// arithmetic.
+// ResultTable → report bridge, the perf-trajectory gate's regression
+// arithmetic, and rngx draw counts that block draws cannot change.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exec/exec_context.h"
@@ -24,6 +25,7 @@
 #include "src/report/render.h"
 #include "src/report/summary.h"
 #include "src/rngx/rng.h"
+#include "src/stats/tests.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
@@ -444,6 +446,67 @@ TEST(MetricsRngx, StreamCountersAreThreadCountInvariant) {
   EXPECT_GE(at1.second, static_cast<std::uint64_t>(kReps) * kDrawsPerRep);
   EXPECT_EQ(at1, at4);
   EXPECT_EQ(at1, at8);
+}
+
+TEST(MetricsRngx, BlockDrawsCountLikeSingleDraws) {
+  // Rng::for_each_u64 records its n draws at once; campaign.json shows
+  // both sum and count, so both must match n next_u64() calls.
+  Sink& sink = global_sink();
+  const auto draws_of = [&sink](const auto& body) {
+    sink.disable_all();
+    sink.reset();
+    sink.enable(kRngxDraws);
+    body();
+    const Snapshot snap = sink.snapshot();
+    sink.disable_all();
+    sink.reset();
+    const MetricSnapshot* draws = snap.find(kRngxDraws);
+    EXPECT_NE(draws, nullptr);
+    return draws != nullptr
+               ? std::pair<std::uint64_t, std::uint64_t>{draws->sum,
+                                                         draws->count}
+               : std::pair<std::uint64_t, std::uint64_t>{};
+  };
+  for (const std::size_t n : {0u, 1u, 2u, 1000u}) {
+    rngx::Rng block{n};
+    rngx::Rng single{n};
+    std::uint64_t block_xor = 0;
+    std::uint64_t single_xor = 0;
+    const auto by_block = draws_of([&] {
+      block.for_each_u64(n, [&](std::size_t, std::uint64_t r) {
+        block_xor ^= r;
+      });
+    });
+    const auto by_single = draws_of([&] {
+      for (std::size_t i = 0; i < n; ++i) single_xor ^= single.next_u64();
+    });
+    EXPECT_EQ(by_block, (std::pair<std::uint64_t, std::uint64_t>{n, n}));
+    EXPECT_EQ(by_block, by_single);
+    EXPECT_EQ(block_xor, single_xor);
+    EXPECT_EQ(block.save_state(), single.save_state());
+  }
+
+  // Through the paired permutation test (block draws on every replicate
+  // stream), the totals stay thread-count invariant.
+  std::vector<double> a(300);
+  std::vector<double> b(300);
+  rngx::Rng data{9};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = data.normal();
+    b[i] = data.normal();
+  }
+  const auto permutation_draws = [&](std::size_t threads) {
+    return draws_of([&] {
+      rngx::Rng rng{20260809};
+      (void)stats::paired_permutation_test(exec::ExecContext{threads}, a, b,
+                                           rng, 200);
+    });
+  };
+  const auto at1 = permutation_draws(1);
+  EXPECT_EQ(at1.first, at1.second);
+  EXPECT_GE(at1.first, std::uint64_t{200} * a.size());
+  EXPECT_EQ(at1, permutation_draws(4));
+  EXPECT_EQ(at1, permutation_draws(8));
 }
 
 }  // namespace

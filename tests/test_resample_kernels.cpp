@@ -1,5 +1,8 @@
 // The fused resampling-kernel contract (src/stats/resample_kernels.h) and
 // the streaming VBT writer (src/io/columnar/stream_writer.h):
+//   - the inlined-draw kernels (sign-flip XOR, shortfall-only index
+//     blocks, division-free remainder, integer half-wins) give the bits
+//     and leave the Rng state of the per-draw reference loops;
 //   - the ResampleStat/PairedResampleStat fast paths are bit-identical to
 //     the std::function overloads evaluating the equivalent statistic;
 //   - every rewired statistic is bit-identical at any thread count;
@@ -14,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,15 +115,125 @@ TEST(ResampleKernels, BootstrapResampleStillDrawsTheSameIndices) {
   }
 }
 
+/// fill_bootstrap_indices gives the indices of one uniform_index(pool)
+/// call per element and leaves the Rng where that loop does.
+template <typename IdxT>
+void expect_indices_match_uniform_index(std::uint64_t pool, std::size_t n,
+                                        std::uint64_t seed) {
+  rngx::Rng rng_kernel{seed};
+  rngx::Rng rng_manual{seed};
+  std::vector<IdxT> idx(n);
+  stats::kernels::fill_bootstrap_indices(rng_kernel, pool,
+                                         std::span<IdxT>{idx});
+  for (const IdxT i : idx) {
+    EXPECT_EQ(i, rng_manual.uniform_index(pool)) << "pool=" << pool;
+    EXPECT_LT(i, pool);
+  }
+  EXPECT_EQ(rng_kernel.save_state(), rng_manual.save_state())
+      << "pool=" << pool << " n=" << n;
+}
+
 TEST(ResampleKernels, FillBootstrapIndicesMatchesUniformIndex) {
-  rngx::Rng rng_kernel{99};
-  rngx::Rng rng_manual{99};
-  std::vector<std::uint32_t> idx(1000);
-  stats::kernels::fill_bootstrap_indices(
-      rng_kernel, 10, std::span<std::uint32_t>{idx});
-  for (const std::uint32_t i : idx) {
-    EXPECT_EQ(i, rng_manual.uniform_index(10));
-    EXPECT_LT(i, 10u);
+  expect_indices_match_uniform_index<std::uint32_t>(10, 1000, 99);
+  // pool = 2^63 + 1 puts the Lemire threshold at 2^63 - 1: about half
+  // the draws are rejected, so the shortfall loop runs many rounds.
+  const std::uint64_t pool = (std::uint64_t{1} << 63) + 1;
+  for (const std::size_t n : {1u, 2u, 1000u}) {
+    expect_indices_match_uniform_index<std::uint64_t>(pool, n, 77 + n);
+  }
+  // That case really rejects: count the raw draws the per-element loop
+  // needs for 1000 accepted indices.
+  rngx::Rng counter{77 + 1000};
+  const std::uint64_t threshold = (~pool + 1) % pool;
+  std::size_t draws = 0;
+  for (std::size_t accepted = 0; accepted < 1000; ++draws) {
+    if (counter.next_u64() >= threshold) ++accepted;
+  }
+  EXPECT_GT(draws, 1300u);
+}
+
+// ----------------------------------------- inlined draws, same bits
+
+/// n values cycling through signed zeros, subnormals and normals, plus
+/// infinities of both signs when `with_inf`.
+std::vector<double> special_values(std::size_t n, bool with_inf) {
+  const double sub = std::numeric_limits<double>::denorm_min();
+  std::vector<double> pattern = {0.0,     -0.0, sub,   -sub,  3.5e-310,
+                                 -1e-310, 1.25, -0.75, 1e300, -2.0};
+  if (with_inf) {
+    pattern.push_back(std::numeric_limits<double>::infinity());
+    pattern.push_back(-std::numeric_limits<double>::infinity());
+  }
+  std::vector<double> d(n);
+  for (std::size_t i = 0; i < n; ++i) d[i] = pattern[(i * 7) % pattern.size()];
+  return d;
+}
+
+TEST(ResampleKernels, SignflipMatchesBernoulliReferenceBitwise) {
+  for (const bool with_inf : {false, true}) {
+    for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 20'000u}) {
+      const auto d = special_values(n, with_inf);
+      rngx::Rng reference{1234 + n};
+      double sum = 0.0;
+      for (const double di : d) sum += reference.bernoulli(0.5) ? di : -di;
+      const double extreme = std::abs(sum / static_cast<double>(n));
+      // |mean| itself and the next double up: the kernel agrees on both
+      // only if its |mean| has exactly the reference's bits (a NaN mean
+      // is never extreme, on either side).
+      for (const double threshold :
+           {extreme,
+            std::nextafter(extreme, std::numeric_limits<double>::infinity())}) {
+        rngx::Rng kernel{1234 + n};
+        EXPECT_EQ(stats::kernels::signflip_mean_extreme(d, threshold, kernel),
+                  extreme >= threshold)
+            << "n=" << n << " inf=" << with_inf;
+        rngx::Rng after_reference = reference;
+        EXPECT_EQ(kernel.next_u64(), after_reference.next_u64()) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(ResampleKernels, ExactRemainderMatchesModuloOnEdgePools) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::vector<std::uint64_t> pools = {1,
+                                            2,
+                                            3,
+                                            20'000,
+                                            (std::uint64_t{1} << 32) - 1,
+                                            std::uint64_t{1} << 32,
+                                            (std::uint64_t{1} << 63) + 1,
+                                            kMax};
+  rngx::Rng rng{2019};
+  for (const std::uint64_t pool : pools) {
+    const stats::kernels::ExactRemainder remainder{pool};
+    std::vector<std::uint64_t> rs = {0, 1, pool - 1, pool, kMax};
+    for (int i = 0; i < 10'000; ++i) rs.push_back(rng.next_u64());
+    for (const std::uint64_t r : rs) {
+      ASSERT_EQ(remainder(r), r % pool) << "r=" << r << " pool=" << pool;
+    }
+  }
+}
+
+TEST(ResampleKernels, GatherWinRateMatchesProbabilityOfOutperforming) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> a = {1.0, 2.0, 2.0, nan, 0.5, 3.0, nan, -0.0};
+  const std::vector<double> b = {0.5, 2.0, 3.0, 1.0, nan, 3.0, nan, 0.0};
+  rngx::Rng rng{31};
+  for (const std::size_t n : {1u, 7u, 64u, 1001u}) {
+    std::vector<std::uint32_t> idx(n);
+    stats::kernels::fill_bootstrap_indices(rng, a.size(),
+                                           std::span<std::uint32_t>{idx});
+    std::vector<double> ga(n);
+    std::vector<double> gb(n);
+    stats::kernels::gather_values(a, std::span<const std::uint32_t>{idx},
+                                  std::span<double>{ga});
+    stats::kernels::gather_values(b, std::span<const std::uint32_t>{idx},
+                                  std::span<double>{gb});
+    EXPECT_EQ(stats::kernels::gather_win_rate(
+                  a, b, std::span<const std::uint32_t>{idx}),
+              stats::probability_of_outperforming(ga, gb))
+        << "n=" << n;
   }
 }
 
