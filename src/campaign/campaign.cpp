@@ -11,12 +11,11 @@
 #include "src/io/columnar/vbt.h"
 #include "src/io/json.h"
 #include "src/metrics/metrics.h"
+#include "src/metrics/stopwatch.h"
 #include "src/rngx/rng.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/trace/file.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
 
 namespace varbench::campaign {
 
@@ -103,7 +102,7 @@ void write_manifest(const WorkQueue& queue, const CampaignConfig& cfg,
         entry.set("p90", io::Json{m.percentile_upper(0.90)});
         entry.set("p99", io::Json{m.percentile_upper(0.99)});
       }
-      block.set(def.name, std::move(entry));
+      block.set(std::string{def.name}, std::move(entry));
     }
     if (!block.as_object().empty()) doc.set("metrics", std::move(block));
   }
@@ -247,24 +246,24 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   WorkQueue queue{cfg.dir, ext};
   metrics::Sink& sink =
       cfg.metrics != nullptr ? *cfg.metrics : metrics::global_sink();
-  // The coordinator's tracer is run-local by default — deliberately NOT
-  // trace::global_tracer(), which in_process_launcher() resets and drains
-  // per task and must not swallow coordinator lifecycle spans. All-disabled
-  // (every emit is one branch) unless cfg.trace turned the campaign
-  // subsystem on.
-  trace::Tracer local_tracer;
-  trace::Tracer& tracer = cfg.tracer != nullptr ? *cfg.tracer : local_tracer;
-  if (cfg.trace && cfg.tracer == nullptr) {
-    trace::enable_selection(local_tracer, "campaign");
+  // Lifecycle spans go to cfg.metrics when the caller gave one. Without
+  // it they go to a run-local sink — deliberately NOT global_sink(), whose
+  // spans in_process_launcher() discards and drains per task, and which
+  // must not swallow coordinator spans. All-disabled (every record is one
+  // branch) unless cfg.trace turned the campaign spans on.
+  metrics::Sink local_spans;
+  metrics::Sink& spans = cfg.metrics != nullptr ? *cfg.metrics : local_spans;
+  if (cfg.trace && cfg.metrics == nullptr) {
+    metrics::enable_selection(local_spans, "campaign", metrics::Export::kSpans);
   }
   // Lifecycle instants carry the task-id hash as their identity-derived
-  // ident, with the readable id attached as a label (docs/tracing.md).
-  const auto task_event = [&tracer](trace::SpanId id,
-                                    const std::string& task_id) {
-    if (!tracer.is_enabled(id)) return;
+  // ident, with the readable id attached as a label (docs/metrics.md).
+  const auto task_event = [&spans](metrics::MetricId id,
+                                   const std::string& task_id) {
+    if (!spans.is_enabled(id)) return;
     const std::uint64_t ident = rngx::hash_tag(task_id);
-    tracer.set_label(ident, task_id);
-    trace::instant(tracer, id, ident);
+    spans.set_label(ident, task_id);
+    metrics::instant(spans, id, ident);
   };
   auto tasks = plan_tasks(studies, cfg.shards);
 
@@ -332,7 +331,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
     if (st.status == TaskState::Status::kPending && !queue.is_queued(id) &&
         !queue.is_claimed(id)) {
       queue.enqueue(Ticket{id, 0, ""});
-      task_event(trace::kCampaignTaskQueued, id);
+      task_event(metrics::kCampaignTaskQueued, id);
     }
   }
   write_manifest(queue, cfg, studies, states, &sink);
@@ -355,8 +354,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       report.merged_outputs.push_back(out);
       return;
     }
-    const trace::ScopedSpan merge_span{tracer, trace::kCampaignStudyMerged,
-                                       static_cast<std::uint64_t>(k)};
+    const metrics::ScopedTimer merge_span{spans, metrics::kCampaignStudyMerged,
+                                          static_cast<std::uint64_t>(k)};
     try {
       std::vector<std::string> shard_paths;
       for (const auto& st : states) {
@@ -392,14 +391,14 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
     /// Last time the heartbeat rewrote the claim body with a status
     /// snapshot (full rewrites are throttled; mtime-only touches are not).
     std::chrono::steady_clock::time_point last_status;
-    /// trace::span_begin of the campaign.task_running span; 0 = disabled.
+    /// metrics::span_begin of the campaign.task_running span; 0 = disabled.
     std::uint64_t trace_begin = 0;
   };
   std::vector<Active> active;
 
   // The live progress snapshot a status-carrying heartbeat embeds in the
   // claim body — everything `varbench status` shows without touching the
-  // queue (docs/tracing.md).
+  // queue (docs/metrics.md).
   const auto status_snapshot = [&](const Active& a) {
     const TaskState& st = states[a.state_index];
     std::size_t done = 0;
@@ -483,8 +482,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       progressed = true;
       TaskState& st = states[it->state_index];
       const std::string& id = st.task.id;
-      trace::span_end(tracer, trace::kCampaignTaskRunning, rngx::hash_tag(id),
-                      it->trace_begin);
+      metrics::span_end(spans, metrics::kCampaignTaskRunning,
+                        rngx::hash_tag(id), it->trace_begin);
       const int code = it->handle->exit_code();
       const std::string part = queue.partial_artifact_path(id);
 
@@ -519,7 +518,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         st.status = TaskState::Status::kDone;
         st.completed_this_run = true;
         queue.complete(it->ticket);
-        task_event(trace::kCampaignTaskPromoted, id);
+        task_event(metrics::kCampaignTaskPromoted, id);
         event(cfg, "task %s: done (attempt %zu)", id.c_str(), st.attempts);
         maybe_merge_study(st.task.study_index);
       } else {
@@ -528,7 +527,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         const std::size_t used = it->ticket.attempts + 1;
         if (used < 1 + cfg.max_retries) {
           queue.release_for_retry(it->ticket, used);
-          task_event(trace::kCampaignTaskRetried, id);
+          task_event(metrics::kCampaignTaskRetried, id);
           ++report.retried;
           sink.add(metrics::kCampaignTaskRetries);
           event(cfg, "task %s: attempt %zu failed (%s; log: %s) — retrying",
@@ -590,12 +589,12 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       }
       TaskState& st = states[idx];
       st.attempts = ticket->attempts + 1;
-      task_event(trace::kCampaignTaskClaimed, st.task.id);
+      task_event(metrics::kCampaignTaskClaimed, st.task.id);
       std::error_code ec;
       fs::remove(queue.partial_artifact_path(st.task.id), ec);
       const auto claimed_at = std::chrono::steady_clock::now();
       const std::uint64_t trace_begin =
-          trace::span_begin(tracer, trace::kCampaignTaskRunning);
+          metrics::span_begin(spans, metrics::kCampaignTaskRunning);
       auto handle = launcher(st.task, queue.spec_path(st.task.id),
                              queue.partial_artifact_path(st.task.id),
                              queue.log_path(st.task.id));
@@ -650,12 +649,11 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   write_manifest(queue, cfg, studies, states, &sink);
   if (cfg.trace) {
     // Coordinator lifecycle spans, plus whatever the coordinator itself
-    // recorded on the process-global tracer (io spans from artifact loads
-    // during validation/merge) when that is a different object.
-    trace::TraceFile coord = trace::drain(tracer, "coordinator");
-    if (&trace::global_tracer() != &tracer &&
-        trace::global_tracer().any_enabled()) {
-      trace::append(coord, trace::drain(trace::global_tracer(), "coordinator"));
+    // recorded on the global sink (io spans from artifact loads during
+    // validation/merge) when that is a different object.
+    trace::TraceFile coord = trace::drain(spans, "coordinator");
+    if (&metrics::global_sink() != &spans) {
+      trace::append(coord, trace::drain(metrics::global_sink(), "coordinator"));
     }
     trace::write_trace_file(
         (fs::path{queue.trace_dir()} / "coordinator.trace.json").string(),
@@ -719,13 +717,13 @@ WorkerLauncher in_process_launcher(bool trace) {
                  const std::string& log_path) -> std::unique_ptr<WorkerHandle> {
     try {
       // Tracing mirrors what a subprocess worker with --trace-out does:
-      // the process-global tracer, reset before the run so the task's
-      // trace numbers exec regions from 0, drained to the task's worker
-      // trace file after.
-      trace::Tracer& g = trace::global_tracer();
+      // every span on the global sink, its spans discarded before the run
+      // so the task's trace numbers exec regions from 0, drained to the
+      // task's worker trace file after. Its metric cells are left alone.
+      metrics::Sink& g = metrics::global_sink();
       if (trace) {
-        g.reset();
-        g.enable_all();
+        g.reset_spans();
+        metrics::enable_selection(g, "all", metrics::Export::kSpans);
       }
       // Execute what the state dir records — exactly what a subprocess
       // worker would read — not the in-memory task.

@@ -1,34 +1,11 @@
 #include "src/metrics/metrics.h"
 
 #include <algorithm>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
+#include <tuple>
 
 namespace varbench::metrics {
-
-namespace {
-
-std::vector<MetricDef> builtin_defs() {
-  std::vector<MetricDef> defs;
-  defs.reserve(static_cast<std::size_t>(kNumBuiltinMetrics));
-#define VARBENCH_METRIC_DEF(sym, name, subsystem, unit, kind, help) \
-  defs.push_back(MetricDef{name, subsystem, unit, MetricKind::kind, help});
-  VARBENCH_BUILTIN_METRICS(VARBENCH_METRIC_DEF)
-#undef VARBENCH_METRIC_DEF
-  return defs;
-}
-
-struct Registry {
-  std::vector<MetricDef> defs = builtin_defs();
-  std::mutex mu;  // guards registration; id-indexed reads never resize away
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
-
-}  // namespace
 
 std::string_view kind_name(MetricKind kind) {
   switch (kind) {
@@ -38,34 +15,20 @@ std::string_view kind_name(MetricKind kind) {
       return "timer";
     case MetricKind::kHistogram:
       return "histogram";
+    case MetricKind::kSpan:
+      return "span";
+    case MetricKind::kInstant:
+      return "instant";
   }
   return "counter";
 }
 
-const std::vector<MetricDef>& metric_defs() { return registry().defs; }
-
-std::size_t num_metrics() { return registry().defs.size(); }
-
 MetricId metric_id(std::string_view name) {
-  const auto& defs = registry().defs;
-  for (std::size_t i = 0; i < defs.size(); ++i) {
-    if (defs[i].name == name) return static_cast<MetricId>(i);
+  for (std::size_t i = 0; i < kMetricDefs.size(); ++i) {
+    if (kMetricDefs[i].name == name) return static_cast<MetricId>(i);
   }
   throw std::invalid_argument{"metrics: unknown metric name '" +
                               std::string{name} + "'"};
-}
-
-MetricId register_metric(MetricDef def) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock{r.mu};
-  for (const MetricDef& existing : r.defs) {
-    if (existing.name == def.name) {
-      throw std::invalid_argument{"metrics: metric name '" + def.name +
-                                  "' is already registered"};
-    }
-  }
-  r.defs.push_back(std::move(def));
-  return static_cast<MetricId>(r.defs.size() - 1);
 }
 
 std::uint64_t MetricSnapshot::percentile_upper(double p) const {
@@ -91,7 +54,10 @@ const MetricSnapshot* Snapshot::find(MetricId id) const {
   return nullptr;
 }
 
-Sink::Sink() : enabled_(num_metrics(), 0) {}
+bool event_before(const SpanEvent& a, const SpanEvent& b) {
+  return std::tie(a.start_ns, a.span, a.ident, a.tid, a.dur_ns) <
+         std::tie(b.start_ns, b.span, b.ident, b.tid, b.dur_ns);
+}
 
 Sink::~Sink() {
   for (auto& slot : shards_) {
@@ -100,10 +66,8 @@ Sink::~Sink() {
 }
 
 void Sink::enable(MetricId id) {
-  if (id >= enabled_.size()) {
-    throw std::invalid_argument{
-        "metrics: enable() id out of range (metric registered after this "
-        "Sink was constructed?)"};
+  if (id >= kNumProbes) {
+    throw std::invalid_argument{"metrics: enable() id out of range"};
   }
   if (enabled_[id] == 0) {
     enabled_[id] = 1;
@@ -112,26 +76,27 @@ void Sink::enable(MetricId id) {
 }
 
 void Sink::disable(MetricId id) {
-  if (id < enabled_.size() && enabled_[id] != 0) {
+  if (id < kNumProbes && enabled_[id] != 0) {
     enabled_[id] = 0;
     --num_enabled_;
   }
 }
 
 void Sink::enable_all() {
-  for (MetricId id = 0; id < enabled_.size(); ++id) enable(id);
+  for (MetricId id = 0; id < kNumProbes; ++id) enable(id);
 }
 
 void Sink::disable_all() {
-  std::fill(enabled_.begin(), enabled_.end(), std::uint8_t{0});
+  enabled_.fill(0);
   num_enabled_ = 0;
 }
 
 namespace {
 
-/// Stable per-thread shard slot: threads round-robin onto slots in the
-/// order they first record. (Slot choice only affects contention, never
-/// snapshot values — integer adds commute across shards.)
+/// Stable per-thread slot: threads round-robin onto slots in the order
+/// they first record. The slot only affects contention and the events'
+/// presentation-only `tid`, never snapshot values (integer adds commute)
+/// or drained event order (event_before).
 std::size_t this_thread_slot(std::size_t num_slots) {
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t slot =
@@ -141,11 +106,11 @@ std::size_t this_thread_slot(std::size_t num_slots) {
 
 }  // namespace
 
-Sink::Shard& Sink::shard_for_this_thread() {
-  std::atomic<Shard*>& slot = shards_[this_thread_slot(kShardSlots)];
+Sink::Shard& Sink::shard_at(std::size_t slot_index) {
+  std::atomic<Shard*>& slot = shards_[slot_index];
   Shard* existing = slot.load(std::memory_order_acquire);
   if (existing != nullptr) return *existing;
-  auto fresh = std::make_unique<Shard>(enabled_.size() * kCellsPerMetric);
+  auto fresh = std::make_unique<Shard>();
   Shard* expected = nullptr;
   if (slot.compare_exchange_strong(expected, fresh.get(),
                                    std::memory_order_acq_rel)) {
@@ -155,28 +120,49 @@ Sink::Shard& Sink::shard_for_this_thread() {
 }
 
 void Sink::record(MetricId id, std::uint64_t value, std::uint64_t events) {
-  Shard& shard = shard_for_this_thread();
-  std::atomic<std::uint64_t>* cells = shard.cells.get() + id * kCellsPerMetric;
+  Shard& shard = shard_at(this_thread_slot(kShardSlots));
+  std::atomic<std::uint64_t>* cells = &shard.cells[id * kCellsPerMetric];
   cells[0].fetch_add(events, std::memory_order_relaxed);
   cells[1].fetch_add(value, std::memory_order_relaxed);
-  const MetricKind kind = metric_defs()[id].kind;
-  if (kind != MetricKind::kCounter) {
+  if (kMetricDefs[id].kind != MetricKind::kCounter) {
     cells[2 + bin_index(value)].fetch_add(1, std::memory_order_relaxed);
   }
 }
 
+void Sink::record_event(MetricId id, std::uint64_t ident,
+                        std::uint64_t start_ns, std::uint64_t dur_ns) {
+  const std::size_t slot = this_thread_slot(kShardSlots);
+  Shard& shard = shard_at(slot);
+  const std::lock_guard<std::mutex> lock{shard.mu};
+  if (shard.events.size() >= kMaxEventsPerSlot) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  shard.events.push_back(SpanEvent{id, ident, slot, start_ns, dur_ns});
+}
+
+void Sink::set_label(std::uint64_t ident, std::string label) {
+  const std::lock_guard<std::mutex> lock{labels_mu_};
+  for (auto& [known, text] : labels_) {
+    if (known == ident) {
+      text = std::move(label);
+      return;
+    }
+  }
+  labels_.emplace_back(ident, std::move(label));
+}
+
 Snapshot Sink::snapshot() const {
   Snapshot snap;
-  snap.metrics.reserve(num_enabled_);
-  for (MetricId id = 0; id < enabled_.size(); ++id) {
-    if (enabled_[id] == 0) continue;
+  for (MetricId id = 0; id < kNumProbes; ++id) {
+    if (enabled_[id] == 0 || is_span(kMetricDefs[id].kind)) continue;
     MetricSnapshot m;
     m.id = id;
     for (const auto& slot : shards_) {
       const Shard* shard = slot.load(std::memory_order_acquire);
       if (shard == nullptr) continue;
       const std::atomic<std::uint64_t>* cells =
-          shard->cells.get() + id * kCellsPerMetric;
+          &shard->cells[id * kCellsPerMetric];
       m.count += cells[0].load(std::memory_order_relaxed);
       m.sum += cells[1].load(std::memory_order_relaxed);
       for (std::size_t b = 0; b < kNumBins; ++b) {
@@ -188,15 +174,44 @@ Snapshot Sink::snapshot() const {
   return snap;
 }
 
+std::vector<SpanEvent> Sink::take_events() {
+  std::vector<SpanEvent> out;
+  for (auto& slot : shards_) {
+    Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
+    const std::lock_guard<std::mutex> lock{shard->mu};
+    out.insert(out.end(), shard->events.begin(), shard->events.end());
+    shard->events.clear();
+  }
+  std::sort(out.begin(), out.end(), event_before);
+  sequence_.store(0, std::memory_order_relaxed);
+  return out;
+}
+
+std::vector<std::pair<std::uint64_t, std::string>> Sink::take_labels() {
+  std::vector<std::pair<std::uint64_t, std::string>> out;
+  {
+    const std::lock_guard<std::mutex> lock{labels_mu_};
+    out.swap(labels_);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
 void Sink::reset() {
   for (auto& slot : shards_) {
     Shard* shard = slot.load(std::memory_order_acquire);
     if (shard == nullptr) continue;
-    const std::size_t n = enabled_.size() * kCellsPerMetric;
-    for (std::size_t i = 0; i < n; ++i) {
-      shard->cells[i].store(0, std::memory_order_relaxed);
-    }
+    for (auto& cell : shard->cells) cell.store(0, std::memory_order_relaxed);
   }
+  reset_spans();
+}
+
+void Sink::reset_spans() {
+  (void)take_events();
+  (void)take_labels();
+  dropped_.store(0, std::memory_order_relaxed);
 }
 
 std::size_t Sink::allocated_shards() const {
@@ -212,7 +227,10 @@ Sink& global_sink() {
   return sink;
 }
 
-void enable_selection(Sink& sink, std::string_view selection) {
+void enable_selection(Sink& sink, std::string_view selection, Export scope) {
+  const auto in_scope = [scope](const MetricDef& def) {
+    return is_span(def.kind) == (scope == Export::kSpans);
+  };
   std::size_t pos = 0;
   while (pos <= selection.size()) {
     std::size_t comma = selection.find(',', pos);
@@ -222,27 +240,28 @@ void enable_selection(Sink& sink, std::string_view selection) {
     while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
     while (!token.empty() && token.back() == ' ') token.remove_suffix(1);
     if (token.empty()) continue;
-    if (token == "all") {
-      sink.enable_all();
-      continue;
-    }
-    if (token == "none") {
-      sink.disable_all();
-      continue;
-    }
-    const auto& defs = metric_defs();
     bool matched = false;
-    for (std::size_t i = 0; i < defs.size(); ++i) {
-      if (defs[i].name == token || defs[i].subsystem == token) {
-        sink.enable(static_cast<MetricId>(i));
-        matched = true;
+    for (MetricId id = 0; id < kNumProbes; ++id) {
+      const MetricDef& def = kMetricDefs[id];
+      if (!in_scope(def)) continue;
+      if (token == "none") {
+        sink.disable(id);
+      } else if (token == "all" || def.name == token ||
+                 def.subsystem == token) {
+        sink.enable(id);
+      } else {
+        continue;
       }
+      matched = true;
     }
     if (!matched) {
+      const bool spans = scope == Export::kSpans;
       throw std::invalid_argument{
-          "metrics: selection '" + std::string{token} +
-          "' matches no metric name or subsystem (try `varbench metrics "
-          "--list`)"};
+          std::string{spans ? "trace" : "metrics"} + ": selection '" +
+          std::string{token} + "' matches no " +
+          (spans ? "span name or subsystem (docs/metrics.md lists them)"
+                 : "metric name or subsystem (try `varbench metrics "
+                   "--list`)")};
     }
   }
 }

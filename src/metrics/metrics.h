@@ -1,32 +1,42 @@
-// Zero-overhead metrics registry (ROADMAP item 3, in the style of
-// dismec++'s stats collection).
+// The one instrumentation layer (docs/metrics.md), in the style of
+// dismec++'s stats collection.
 //
-// Design contract (docs/metrics.md):
-//   - Metrics are registered at compile time in VARBENCH_BUILTIN_METRICS;
-//     a metric's id is its index in that list, so ids are small dense
-//     integers that are stable across runs and builds (append-only list).
-//   - `Sink::is_enabled(id)` is an inlined lookup into a flat byte vector:
-//     a disabled metric costs ~one predictable branch, no locks, no clock
-//     reads, no allocation. Everything expensive — clock reads
-//     (ScopedTimer), derived values (observe_lazy) — sits behind that
+// Design contract:
+//   - Every probe — counter, timer, histogram, span or instant — is
+//     declared once, at compile time, in VARBENCH_BUILTIN_METRICS; its id
+//     is its index in that list, so ids are small dense integers that are
+//     stable across runs and builds (append-only list).
+//   - `Sink::is_enabled(id)` is an inlined byte load: a disabled probe
+//     costs ~one predictable branch, no locks, no clock reads, no
+//     allocation. Everything expensive — clock reads (ScopedTimer),
+//     derived values (observe_lazy), ident hashes — sits behind that
 //     branch.
-//   - Recording goes to per-thread shards of relaxed atomic u64 cells.
-//     Because every cell is an integer accumulator (count / sum / log2
-//     histogram bins) and integer addition commutes, `snapshot()` merges
-//     shards deterministically: the same multiset of events yields the
-//     same snapshot regardless of thread count or interleaving. Enabling
-//     metrics therefore never perturbs result bytes — metrics are pure
-//     provenance, never identity (docs/determinism.md).
+//   - Metrics (counters, timers, histograms) go to per-thread-slot relaxed
+//     atomic u64 cells. Because every cell is an integer accumulator
+//     (count / sum / log2 histogram bins) and integer addition commutes,
+//     `snapshot()` merges slots deterministically: the same multiset of
+//     events yields the same snapshot regardless of thread count or
+//     interleaving.
+//   - Spans and instants append POD SpanEvents to a bounded buffer in the
+//     same per-slot store. Every event carries an *identity-derived* ident
+//     (a task-id hash, a region sequence number, a chunk index) — never a
+//     pointer, tid, or clock value — so the same campaign traced at any
+//     worker or thread split yields the same (span, ident) multiset once
+//     timestamps are normalized away.
+//   - Nothing a sink records may flow into canonical_text() bytes: metrics
+//     and spans are provenance, never identity (docs/determinism.md).
 //
-// This header is io-free and exec-free so that ExecContext can include it.
+// This header is io-free and exec-free so that ExecContext can include it;
+// the trace-file export lives in src/trace/.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,19 +50,26 @@ enum class MetricKind : std::uint8_t {
   kCounter,    // monotonic sum of deltas (count = number of increments)
   kTimer,      // nanosecond durations, histogrammed
   kHistogram,  // arbitrary non-negative integer values, histogrammed
+  kSpan,       // a duration event: start + dur (Chrome "ph":"X")
+  kInstant,    // a point event: start only, dur = 0 (Chrome "ph":"i")
 };
 
 [[nodiscard]] std::string_view kind_name(MetricKind kind);
 
+/// Spans and instants are kept as events; the other kinds fold into cells.
+[[nodiscard]] constexpr bool is_span(MetricKind kind) {
+  return kind == MetricKind::kSpan || kind == MetricKind::kInstant;
+}
+
 struct MetricDef {
-  std::string name;       // "exec.queue_wait_ns" — "<subsystem>.<metric>"
-  std::string subsystem;  // "exec" | "campaign" | "io" | ...
-  std::string unit;       // "ns", "count", "bytes", "indices", "threads"
+  std::string_view name;       // "exec.queue_wait_ns" — "<subsystem>.<name>"
+  std::string_view subsystem;  // "exec" | "campaign" | "io" | ...
+  std::string_view unit;       // "ns", "count", "bytes", "indices", ...
   MetricKind kind = MetricKind::kCounter;
-  std::string help;
+  std::string_view help;       // spans: what the ident derives from
 };
 
-// The compile-time metric list. Ids are indices into this list; append
+// The compile-time probe list. Ids are indices into this list; append
 // only — never reorder or remove — so ids stay stable across versions.
 // X(symbol, name, subsystem, unit, kind, help)
 #define VARBENCH_BUILTIN_METRICS(X)                                          \
@@ -94,30 +111,61 @@ struct MetricDef {
     "bootstrap resamples and permutation replicates evaluated by the "       \
     "fused resampling kernels")                                              \
   X(IoStreamChunks, "io.stream_chunks", "io", "count", kCounter,             \
-    "row-group chunks flushed by the streaming VBT writer")
+    "row-group chunks flushed by the streaming VBT writer")                  \
+  X(StudyRun, "study.run", "study", "ns", kSpan,                             \
+    "one run_study() execution; ident = hash of '<kind>:<case_study>'")      \
+  X(ExecRegion, "exec.region", "exec", "ns", kSpan,                          \
+    "one parallel_for region; ident = per-sink region sequence number")      \
+  X(ExecChunk, "exec.chunk", "exec", "ns", kSpan,                            \
+    "one self-scheduled chunk; ident = (region sequence << 32) | chunk")     \
+  X(IoVbtMap, "io.vbt_map", "io", "ns", kSpan,                               \
+    "MappedTable::open of one VBT1 artifact; ident = hash of the file name") \
+  X(IoVbtMaterialize, "io.vbt_materialize", "io", "ns", kSpan,               \
+    "full VBT1-to-ResultTable materialization; ident = hash of the file "    \
+    "name")                                                                  \
+  X(CampaignTaskQueued, "campaign.task_queued", "campaign", "ns", kInstant,  \
+    "task ticket entered the work queue; ident = hash of the task id")       \
+  X(CampaignTaskClaimed, "campaign.task_claimed", "campaign", "ns",          \
+    kInstant, "coordinator claimed the ticket; ident = hash of the task id") \
+  X(CampaignTaskRunning, "campaign.task_running", "campaign", "ns", kSpan,   \
+    "worker launch to reap for one attempt; ident = hash of the task id")    \
+  X(CampaignTaskPromoted, "campaign.task_promoted", "campaign", "ns",        \
+    kInstant,                                                                \
+    "validated artifact promoted to artifacts/; ident = hash of the task "   \
+    "id")                                                                    \
+  X(CampaignTaskRetried, "campaign.task_retried", "campaign", "ns",          \
+    kInstant, "failed attempt requeued for retry; ident = hash of the task " \
+    "id")                                                                    \
+  X(CampaignStudyMerged, "campaign.study_merged", "campaign", "ns", kSpan,   \
+    "per-study incremental merge of all landed shards; ident = study index")
 
 enum : MetricId {
 #define VARBENCH_METRIC_ENUM(sym, name, subsystem, unit, kind, help) k##sym,
   VARBENCH_BUILTIN_METRICS(VARBENCH_METRIC_ENUM)
 #undef VARBENCH_METRIC_ENUM
-      kNumBuiltinMetrics
+      kNumProbes
 };
 
-/// All registered metrics, id order: the builtin list above plus any
-/// runtime `register_metric` extensions. Thread-safe snapshot-by-copy is
-/// not needed — registration happens at startup, reads are id-indexed.
-[[nodiscard]] const std::vector<MetricDef>& metric_defs();
+/// Every probe, id order.
+inline constexpr std::array<MetricDef, kNumProbes> kMetricDefs = {{
+#define VARBENCH_METRIC_DEF(sym, name, subsystem, unit, kind, help) \
+  MetricDef{name, subsystem, unit, MetricKind::kind, help},
+    VARBENCH_BUILTIN_METRICS(VARBENCH_METRIC_DEF)
+#undef VARBENCH_METRIC_DEF
+}};
 
-[[nodiscard]] std::size_t num_metrics();
+/// How many probes are metrics (counters, timers, histograms) — the rows
+/// `varbench metrics --list` prints.
+inline constexpr std::size_t kNumBuiltinMetrics = static_cast<std::size_t>(
+    std::count_if(kMetricDefs.begin(), kMetricDefs.end(),
+                  [](const MetricDef& d) { return !is_span(d.kind); }));
+
+[[nodiscard]] inline const std::array<MetricDef, kNumProbes>& metric_defs() {
+  return kMetricDefs;
+}
 
 /// Id for `name`; throws std::invalid_argument for unknown names.
 [[nodiscard]] MetricId metric_id(std::string_view name);
-
-/// Register an extension metric (tests, out-of-tree subsystems). The new
-/// id is `num_metrics() - 1` at return. Throws std::invalid_argument on a
-/// name collision with any existing metric — ids must stay unambiguous.
-/// Sinks constructed before the call do not track the new metric.
-MetricId register_metric(MetricDef def);
 
 /// Histogram geometry: integer log2 bins. Bin 0 holds value 0; bin i>=1
 /// holds [2^(i-1), 2^i). Integer bin edges are part of the deterministic
@@ -160,22 +208,42 @@ struct Snapshot {
   [[nodiscard]] bool empty() const { return metrics.empty(); }
 };
 
-/// A metrics sink: the object recording code talks to. Default state is
+/// One recorded span or instant. POD on purpose: the hot path copies 40
+/// bytes into a per-slot buffer and nothing else. `tid` is the recording
+/// thread's slot ordinal — presentation only (Chrome "tid"), never
+/// identity.
+struct SpanEvent {
+  MetricId span = 0;
+  std::uint64_t ident = 0;     // identity-derived (see the span's help text)
+  std::uint64_t tid = 0;       // slot of the recording thread
+  std::uint64_t start_ns = 0;  // monotonic, process-local
+  std::uint64_t dur_ns = 0;    // 0 for kInstant events
+
+  friend bool operator==(const SpanEvent&, const SpanEvent&) = default;
+};
+
+/// The one event order: (start_ns, span, ident, tid, dur_ns). A drained or
+/// appended trace sorted by it is a function of its multiset of events,
+/// not of which slot each thread landed on.
+[[nodiscard]] bool event_before(const SpanEvent& a, const SpanEvent& b);
+
+/// A sink: the object instrumented code records into. Default state is
 /// all-disabled, in which every record call is a branch on a byte load.
 ///
-/// Thread model: add/observe/record are safe from any thread (relaxed
-/// atomics on per-thread-slot shards); enable/disable/reset/snapshot are
-/// coordinator-side operations and must not race with recorders.
+/// Thread model: add/observe/emit/next_sequence/set_label are safe from
+/// any thread; enable/disable/reset/snapshot/take_* are coordinator-side
+/// operations and must not race with recorders.
 class Sink {
  public:
-  Sink();
+  Sink() = default;
   ~Sink();
   Sink(const Sink&) = delete;
   Sink& operator=(const Sink&) = delete;
 
-  /// Hot-path gate. Inlined: bounds check + byte load.
+  /// Hot-path gate. Inlined: a byte load (the bounds check folds away for
+  /// the constant ids call sites pass).
   [[nodiscard]] bool is_enabled(MetricId id) const {
-    return id < enabled_.size() && enabled_[id] != 0;
+    return id < kNumProbes && enabled_[id] != 0;
   }
 
   [[nodiscard]] bool any_enabled() const { return num_enabled_ > 0; }
@@ -213,49 +281,108 @@ class Sink {
     record(id, static_cast<std::uint64_t>(std::forward<Fn>(fn)()));
   }
 
-  /// Merge all shards, fixed id order. Only enabled metrics appear (with
-  /// zero counts if nothing was recorded). Deterministic for a given
-  /// multiset of recorded events, independent of thread count.
+  /// Append one span/instant event (timestamps already taken by the caller
+  /// — see src/metrics/stopwatch.h, the only clock site). No-op when the
+  /// span is disabled; `tid` is filled in from the recording thread's
+  /// slot. Buffers are bounded (kMaxEventsPerSlot); overflow increments
+  /// dropped() instead of growing without limit.
+  void emit(MetricId id, std::uint64_t ident, std::uint64_t start_ns,
+            std::uint64_t dur_ns) {
+    if (!is_enabled(id)) return;
+    record_event(id, ident, start_ns, dur_ns);
+  }
+
+  /// Next value of the sink-wide sequence counter — the identity source
+  /// for ordered-by-construction idents (exec region numbers). Reset by
+  /// take_events()/reset(), so every flushed trace numbers from 0.
+  [[nodiscard]] std::uint64_t next_sequence() {
+    return sequence_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Attach a human-readable label to an ident (e.g. the task id behind
+  /// its hash) for the exported trace. Cold path; last writer wins.
+  void set_label(std::uint64_t ident, std::string label);
+
+  /// Merge all metric cells, fixed id order. Only enabled metrics appear
+  /// (with zero counts if nothing was recorded); spans never do.
+  /// Deterministic for a given multiset of recorded events, independent of
+  /// thread count.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zero every cell (enabled set is kept).
+  /// Drain every span buffer into one vector sorted by event_before and
+  /// reset the sequence counter — the flush-to-file primitive. Metric
+  /// cells are untouched.
+  [[nodiscard]] std::vector<SpanEvent> take_events();
+
+  /// Drain the ident → label table, sorted by ident.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::string>>
+  take_labels();
+
+  /// Span events discarded because a slot's buffer hit kMaxEventsPerSlot.
+  [[nodiscard]] std::uint64_t dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
+
+  /// Zero every metric cell and discard all span data (enabled set kept).
   void reset();
 
-  /// Shards allocated so far — 0 until the first enabled-metric record
-  /// from some thread slot. Exposed so tests can pin the disabled path's
+  /// Discard buffered events, labels, the dropped count and the sequence
+  /// counter; metric cells are kept.
+  void reset_spans();
+
+  /// Slots allocated so far — 0 until the first enabled-probe record from
+  /// some thread slot. Exposed so tests can pin the disabled path's
   /// zero-allocation guarantee.
   [[nodiscard]] std::size_t allocated_shards() const;
 
+  /// Backstop against runaway span volume per thread slot (~40 MB/slot).
+  static constexpr std::size_t kMaxEventsPerSlot = std::size_t{1} << 20;
+
  private:
   // Threads hash onto kShardSlots slots; two threads sharing a slot is
-  // correct (atomic adds), just contended.
+  // correct (atomic adds, a mutex around the span buffer), just contended.
   static constexpr std::size_t kShardSlots = 16;
   static constexpr std::size_t kCellsPerMetric = 2 + kNumBins;  // count, sum, bins
 
   struct Shard {
-    explicit Shard(std::size_t num_cells)
-        : cells(new std::atomic<std::uint64_t>[num_cells]{}) {}
-    std::unique_ptr<std::atomic<std::uint64_t>[]> cells;
+    std::array<std::atomic<std::uint64_t>, kNumProbes * kCellsPerMetric>
+        cells{};
+    std::mutex mu;  // guards events
+    std::vector<SpanEvent> events;
   };
 
   // count += events, sum += value; timers/histograms bin `value` once
   // (they always record one event).
   void record(MetricId id, std::uint64_t value, std::uint64_t events = 1);
-  [[nodiscard]] Shard& shard_for_this_thread();
+  void record_event(MetricId id, std::uint64_t ident, std::uint64_t start_ns,
+                    std::uint64_t dur_ns);
+  [[nodiscard]] Shard& shard_at(std::size_t slot);
 
-  std::vector<std::uint8_t> enabled_;
+  std::array<std::uint8_t, kNumProbes> enabled_{};
   std::size_t num_enabled_ = 0;
   std::array<std::atomic<Shard*>, kShardSlots> shards_{};
+  std::atomic<std::uint64_t> sequence_{0};
+  std::atomic<std::uint64_t> dropped_{0};
+  std::mutex labels_mu_;
+  std::vector<std::pair<std::uint64_t, std::string>> labels_;
 };
 
-/// The process-wide default sink (all metrics disabled until a CLI flag
-/// or test enables them). ExecContext falls back to it when no explicit
-/// sink is attached.
+/// The process-wide default sink (everything disabled until a CLI flag or
+/// test enables it). ExecContext falls back to it when no explicit sink
+/// is attached.
 [[nodiscard]] Sink& global_sink();
 
-/// Enable a comma-separated selection on `sink`: "all", "none", a
-/// subsystem ("exec"), or a full metric name ("exec.queue_wait_ns").
-/// Throws std::invalid_argument for selectors matching nothing.
-void enable_selection(Sink& sink, std::string_view selection);
+/// Which half of the registry a selection reaches: `--metrics` names
+/// counters, timers and histograms; `--trace-out` and `campaign --trace`
+/// name spans and instants. So `--metrics all` starts no span, and the
+/// reverse.
+enum class Export : std::uint8_t { kMetrics, kSpans };
+
+/// Enable a comma-separated selection on `sink`, within `scope`: "all",
+/// "none", a subsystem ("exec"), or a full probe name
+/// ("exec.queue_wait_ns"). Throws std::invalid_argument for selectors
+/// matching nothing in scope.
+void enable_selection(Sink& sink, std::string_view selection,
+                      Export scope = Export::kMetrics);
 
 }  // namespace varbench::metrics

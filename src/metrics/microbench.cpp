@@ -17,7 +17,6 @@
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/tests.h"
-#include "src/trace/trace.h"
 
 namespace varbench::metrics {
 
@@ -89,15 +88,15 @@ std::vector<MicrobenchResult> run_exec_microbenches(
         return time_parallel_for(instrumented, n, out);
       }));
 
-  // And with exec spans live on a local tracer: the tracing analogue of
-  // the row above (region + per-chunk spans, two clock reads per chunk).
-  trace::Tracer tracer;
-  trace::enable_selection(tracer, "exec");
+  // And with exec spans live on a local sink: the tracing analogue of the
+  // row above (region + per-chunk spans, two clock reads per chunk).
+  Sink spans;
+  enable_selection(spans, "exec", Export::kSpans);
   exec::ExecContext traced{opts.threads};
-  traced.tracer = &tracer;
+  traced.metrics = &spans;
   results.push_back(
       min_of("exec.parallel_for_trace", "ns", opts.repeats, [&] {
-        tracer.reset();
+        spans.reset();
         return time_parallel_for(traced, n, out);
       }));
 

@@ -21,7 +21,7 @@ study::ResultTable to_result_table(const Snapshot& snapshot,
     row.push_back(io::Json{seq++});
     row.push_back(io::Json{def.name});
     row.push_back(io::Json{def.subsystem});
-    row.push_back(io::Json{std::string{kind_name(def.kind)}});
+    row.push_back(io::Json{kind_name(def.kind)});
     row.push_back(io::Json{def.unit});
     row.push_back(io::Json{m.count});
     row.push_back(io::Json{m.sum});
@@ -38,11 +38,12 @@ io::Json registry_json() {
   io::Json items = io::Json::array();
   const auto& defs = metric_defs();
   for (std::size_t i = 0; i < defs.size(); ++i) {
+    if (is_span(defs[i].kind)) continue;
     io::Json item = io::Json::object();
     item.set("id", static_cast<std::uint64_t>(i));
     item.set("name", defs[i].name);
     item.set("subsystem", defs[i].subsystem);
-    item.set("kind", std::string{kind_name(defs[i].kind)});
+    item.set("kind", kind_name(defs[i].kind));
     item.set("unit", defs[i].unit);
     item.set("help", defs[i].help);
     items.push_back(std::move(item));
@@ -54,10 +55,13 @@ std::string registry_text() {
   std::string out = "registered metrics (id order is stable; append-only):\n";
   const auto& defs = metric_defs();
   for (std::size_t i = 0; i < defs.size(); ++i) {
+    if (is_span(defs[i].kind)) continue;
     char line[256];
     std::snprintf(line, sizeof(line), "  %3zu  %-28s %-9s %-9s %s\n", i,
-                  defs[i].name.c_str(), kind_name(defs[i].kind).data(),
-                  defs[i].unit.c_str(), defs[i].help.c_str());
+                  std::string{defs[i].name}.c_str(),
+                  std::string{kind_name(defs[i].kind)}.c_str(),
+                  std::string{defs[i].unit}.c_str(),
+                  std::string{defs[i].help}.c_str());
     out += line;
   }
   return out;

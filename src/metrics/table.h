@@ -21,9 +21,10 @@ namespace varbench::metrics {
 [[nodiscard]] study::ResultTable to_result_table(const Snapshot& snapshot,
                                                  std::string name = "metrics");
 
-/// The registry as a JSON array (id order): one object per metric with
-/// {"id", "name", "subsystem", "kind", "unit", "help"}. Callers wrap it in
-/// the CLI's {"tool", "version", ...} envelope.
+/// The metric half of the registry (spans are not listed) as a JSON array
+/// (id order): one object per metric with {"id", "name", "subsystem",
+/// "kind", "unit", "help"}. Callers wrap it in the CLI's {"tool",
+/// "version", ...} envelope.
 [[nodiscard]] io::Json registry_json();
 
 /// Human-readable registry table (the `varbench metrics --list` body).

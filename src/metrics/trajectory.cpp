@@ -11,24 +11,12 @@ namespace {
 
 constexpr std::string_view kSchema = "varbench.bench_trajectory.v1";
 
-std::uint64_t field_u64(const io::Json& row, const char* key,
-                        const std::string& path) {
+const io::Json& field(const io::Json& row, const char* key) {
   const io::Json* v = row.find(key);
   if (v == nullptr) {
-    throw io::JsonError{path + ": trajectory row missing '" +
-                        std::string{key} + "'"};
+    throw io::JsonError{"trajectory row missing '" + std::string{key} + "'"};
   }
-  return v->as_uint64();
-}
-
-std::string field_str(const io::Json& row, const char* key,
-                      const std::string& path) {
-  const io::Json* v = row.find(key);
-  if (v == nullptr) {
-    throw io::JsonError{path + ": trajectory row missing '" +
-                        std::string{key} + "'"};
-  }
-  return v->as_string();
+  return *v;
 }
 
 }  // namespace
@@ -41,25 +29,33 @@ Trajectory Trajectory::load(const std::string& path) {
   // missing one — `touch`ed by a wrapper script, or left by an interrupted
   // write. The gate records a baseline instead of failing to parse.
   if (text.find_first_not_of(" \t\r\n") == std::string::npos) return traj;
-  const io::Json doc = io::Json::parse(text);
-  const io::Json* schema = doc.find("schema");
-  if (schema == nullptr || schema->as_string() != kSchema) {
-    throw io::JsonError{path + ": not a " + std::string{kSchema} +
-                        " trajectory file"};
-  }
-  const io::Json* rows = doc.find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    throw io::JsonError{path + ": trajectory file has no \"rows\" array"};
-  }
-  for (const io::Json& r : rows->as_array()) {
-    TrajectoryRow row;
-    row.bench = field_str(r, "bench", path);
-    row.unit = field_str(r, "unit", path);
-    row.min_ns = field_u64(r, "min_ns", path);
-    row.repeats = field_u64(r, "repeats", path);
-    row.version = field_str(r, "version", path);
-    if (const io::Json* label = r.find("label")) row.label = label->as_string();
-    traj.rows_.push_back(std::move(row));
+  // Every rejection — bad JSON, a missing or mistyped field — names the
+  // file it came from.
+  try {
+    const io::Json doc = io::Json::parse(text);
+    const io::Json* schema = doc.find("schema");
+    if (schema == nullptr || schema->as_string() != kSchema) {
+      throw io::JsonError{"not a " + std::string{kSchema} +
+                          " trajectory file"};
+    }
+    const io::Json* rows = doc.find("rows");
+    if (rows == nullptr || !rows->is_array()) {
+      throw io::JsonError{"trajectory file has no \"rows\" array"};
+    }
+    for (const io::Json& r : rows->as_array()) {
+      TrajectoryRow row;
+      row.bench = field(r, "bench").as_string();
+      row.unit = field(r, "unit").as_string();
+      row.min_ns = field(r, "min_ns").as_uint64();
+      row.repeats = field(r, "repeats").as_uint64();
+      row.version = field(r, "version").as_string();
+      if (const io::Json* label = r.find("label")) {
+        row.label = label->as_string();
+      }
+      traj.rows_.push_back(std::move(row));
+    }
+  } catch (const io::JsonError& e) {
+    throw io::JsonError{path + ": " + e.what()};
   }
   return traj;
 }

@@ -14,12 +14,11 @@
 #include "src/core/variance_study.h"
 #include "src/exec/parallel_replicate.h"
 #include "src/io/json.h"
+#include "src/metrics/stopwatch.h"
 #include "src/rngx/rng.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/prob_outperform.h"
 #include "src/study/figures/figures.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
 #include "src/version.h"
 
 namespace varbench::study {
@@ -465,15 +464,15 @@ void validate_study_spec(const StudySpec& spec) {
 ResultTable run_study(const StudySpec& spec) {
   validate_study_spec(spec);
   const auto it = runner_map().find(spec.kind);
-  trace::Tracer& tracer = trace::global_tracer();
+  metrics::Sink& sink = metrics::global_sink();
   std::uint64_t study_ident = 0;
-  if (tracer.is_enabled(trace::kStudyRun)) {
+  if (sink.is_enabled(metrics::kStudyRun)) {
     const std::string tag =
         std::string{to_string(spec.kind)} + ":" + spec.case_study;
     study_ident = rngx::hash_tag(tag);
-    tracer.set_label(study_ident, tag);
+    sink.set_label(study_ident, tag);
   }
-  const trace::ScopedSpan study_span{tracer, trace::kStudyRun, study_ident};
+  const metrics::ScopedTimer study_span{sink, metrics::kStudyRun, study_ident};
   // varlint: allow(no-wallclock) -- wall_time_ms is provenance, not
   // identity: it is stripped by --canonical and never merged or compared.
   const auto start = std::chrono::steady_clock::now();

@@ -1,7 +1,6 @@
 #include "src/trace/file.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "src/io/json.h"
@@ -12,33 +11,21 @@ namespace {
 
 constexpr std::string_view kSchema = "varbench.trace.v1";
 
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw io::JsonError{"trace file '" + path + "': " + what};
-}
-
 }  // namespace
 
-TraceFile drain(Tracer& tracer, std::string process) {
+TraceFile drain(metrics::Sink& sink, std::string process) {
   TraceFile out;
   out.process = std::move(process);
-  out.spans = tracer.take_events();
-  out.labels = tracer.take_labels();
-  out.dropped = tracer.dropped();
+  out.spans = sink.take_events();
+  out.labels = sink.take_labels();
+  out.dropped = sink.dropped();
   return out;
 }
 
 void append(TraceFile& into, TraceFile&& extra) {
   into.dropped += extra.dropped;
   into.spans.insert(into.spans.end(), extra.spans.begin(), extra.spans.end());
-  // Same deterministic order as Tracer::take_events.
-  std::sort(into.spans.begin(), into.spans.end(),
-            [](const SpanEvent& a, const SpanEvent& b) {
-              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-              if (a.span != b.span) return a.span < b.span;
-              if (a.ident != b.ident) return a.ident < b.ident;
-              if (a.tid != b.tid) return a.tid < b.tid;
-              return a.dur_ns < b.dur_ns;
-            });
+  std::sort(into.spans.begin(), into.spans.end(), metrics::event_before);
   for (auto& [ident, label] : extra.labels) {
     bool known = false;
     for (const auto& [have, unused] : into.labels) known |= have == ident;
@@ -49,7 +36,7 @@ void append(TraceFile& into, TraceFile&& extra) {
 }
 
 std::string to_json_text(const TraceFile& file) {
-  const auto& defs = span_defs();
+  const auto& defs = metrics::metric_defs();
   io::Json doc = io::Json::object();
   doc.set("schema", io::Json{std::string{kSchema}});
   doc.set("process", io::Json{file.process});
@@ -77,43 +64,48 @@ std::string to_json_text(const TraceFile& file) {
 }
 
 TraceFile parse_trace_file(const std::string& text, const std::string& path) {
-  io::Json doc;
+  // Every rejection — bad JSON, a missing or mistyped field, an unknown
+  // span — names the file it came from.
   try {
-    doc = io::Json::parse(text);
-  } catch (const io::JsonError& e) {
-    fail(path, e.what());
-  }
-  if (!doc.is_object()) fail(path, "top level is not an object");
-  const io::Json* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kSchema) {
-    fail(path, "missing or unsupported schema (want '" + std::string{kSchema} +
-                   "')");
-  }
-  TraceFile out;
-  out.process = doc.at("process").as_string();
-  if (const io::Json* dropped = doc.find("dropped"); dropped != nullptr) {
-    out.dropped = dropped->as_uint64();
-  }
-  for (const io::Json& row : doc.at("spans").as_array()) {
-    SpanEvent e;
-    const std::string& name = row.at("span").as_string();
-    try {
-      e.span = span_id(name);
-    } catch (const std::invalid_argument&) {
-      fail(path, "unknown span name '" + name + "'");
+    const io::Json doc = io::Json::parse(text);
+    if (!doc.is_object()) throw io::JsonError{"top level is not an object"};
+    const io::Json* schema = doc.find("schema");
+    if (schema == nullptr || !schema->is_string() ||
+        schema->as_string() != kSchema) {
+      throw io::JsonError{"missing or unsupported schema (want '" +
+                          std::string{kSchema} + "')"};
     }
-    e.ident = row.at("ident").as_uint64();
-    e.tid = row.at("tid").as_uint64();
-    e.start_ns = row.at("start_ns").as_uint64();
-    e.dur_ns = row.at("dur_ns").as_uint64();
-    out.spans.push_back(e);
+    const auto& defs = metrics::metric_defs();
+    TraceFile out;
+    out.process = doc.at("process").as_string();
+    if (const io::Json* dropped = doc.find("dropped"); dropped != nullptr) {
+      out.dropped = dropped->as_uint64();
+    }
+    for (const io::Json& row : doc.at("spans").as_array()) {
+      const std::string& name = row.at("span").as_string();
+      const auto def = std::find_if(
+          defs.begin(), defs.end(), [&](const metrics::MetricDef& d) {
+            return d.name == name && metrics::is_span(d.kind);
+          });
+      if (def == defs.end()) {
+        throw io::JsonError{"unknown span name '" + name + "'"};
+      }
+      SpanEvent e;
+      e.span = static_cast<metrics::MetricId>(def - defs.begin());
+      e.ident = row.at("ident").as_uint64();
+      e.tid = row.at("tid").as_uint64();
+      e.start_ns = row.at("start_ns").as_uint64();
+      e.dur_ns = row.at("dur_ns").as_uint64();
+      out.spans.push_back(e);
+    }
+    for (const io::Json& row : doc.at("labels").as_array()) {
+      out.labels.emplace_back(row.at("ident").as_uint64(),
+                              row.at("label").as_string());
+    }
+    return out;
+  } catch (const io::JsonError& e) {
+    throw io::JsonError{"trace file '" + path + "': " + e.what()};
   }
-  for (const io::Json& row : doc.at("labels").as_array()) {
-    out.labels.emplace_back(row.at("ident").as_uint64(),
-                            row.at("label").as_string());
-  }
-  return out;
 }
 
 void write_trace_file(const std::string& path, const TraceFile& file) {

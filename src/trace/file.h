@@ -1,5 +1,6 @@
 // On-disk form of one process's trace: the `traces/*.trace.json` files a
-// campaign state directory accumulates (docs/tracing.md). One file per
+// campaign state directory accumulates (docs/metrics.md) — the span export
+// of a metrics::Sink. One file per
 // producing process — worker or coordinator — so flushing never needs
 // cross-process coordination; the stitcher (src/trace/stitch.h) merges
 // them deterministically afterwards.
@@ -14,8 +15,8 @@
 //     "labels": [{"ident": ..., "label": "s0-0of2"}, ...]
 //   }
 // Timestamps are process-local monotonic nanoseconds (only differences are
-// meaningful); span names — not raw ids — are serialized, so files stay
-// readable across builds as the registry grows.
+// meaningful); span names — not raw probe ids — are serialized, so files
+// stay readable across builds as the registry grows.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +24,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/trace/trace.h"
+#include "src/metrics/metrics.h"
 
 namespace varbench::trace {
+
+using metrics::SpanEvent;
 
 struct TraceFile {
   std::string process;  // producing-process label, e.g. "worker-s0-0of2"
@@ -36,9 +39,10 @@ struct TraceFile {
   friend bool operator==(const TraceFile&, const TraceFile&) = default;
 };
 
-/// Drain `tracer` (events and labels, emptying both buffers; the dropped
-/// count is copied) into a TraceFile labeled `process`.
-[[nodiscard]] TraceFile drain(Tracer& tracer, std::string process);
+/// Drain the spans of `sink` (events and labels, emptying both buffers;
+/// the dropped count is copied) into a TraceFile labeled `process`. Metric
+/// cells are untouched.
+[[nodiscard]] TraceFile drain(metrics::Sink& sink, std::string process);
 
 /// Fold `extra`'s spans, labels, and dropped count into `into` (same
 /// process), restoring the deterministic event order.
@@ -47,7 +51,8 @@ void append(TraceFile& into, TraceFile&& extra);
 [[nodiscard]] std::string to_json_text(const TraceFile& file);
 
 /// Parse one trace file document. Throws io::JsonError naming `path` on
-/// malformed JSON, a wrong schema, or unknown span names.
+/// malformed JSON, a wrong schema, a missing or mistyped field, or a name
+/// that is not a span.
 [[nodiscard]] TraceFile parse_trace_file(const std::string& text,
                                          const std::string& path);
 

@@ -65,7 +65,7 @@ StitchedTrace stitch_state_dir(const std::string& state_dir) {
 }
 
 io::Json chrome_trace_json(const StitchedTrace& stitched) {
-  const auto& defs = span_defs();
+  const auto& defs = metrics::metric_defs();
   io::Json events = io::Json::array();
   for (std::size_t i = 0; i < stitched.processes.size(); ++i) {
     const TraceFile& file = stitched.processes[i];
@@ -86,18 +86,18 @@ io::Json chrome_trace_json(const StitchedTrace& stitched) {
     std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
     for (const SpanEvent& e : file.spans) base = std::min(base, e.start_ns);
     for (const SpanEvent& e : file.spans) {
-      const SpanDef& def = defs[e.span];
+      const metrics::MetricDef& def = defs[e.span];
       io::Json row = io::Json::object();
       row.set("name", io::Json{def.name});
       row.set("cat", io::Json{def.subsystem});
-      if (def.kind == SpanKind::kSpan) {
+      if (def.kind == metrics::MetricKind::kSpan) {
         row.set("ph", io::Json{"X"});
       } else {
         row.set("ph", io::Json{"i"});
         row.set("s", io::Json{"t"});  // instant scope: thread
       }
       row.set("ts", io::Json{static_cast<double>(e.start_ns - base) / 1e3});
-      if (def.kind == SpanKind::kSpan) {
+      if (def.kind == metrics::MetricKind::kSpan) {
         row.set("dur", io::Json{static_cast<double>(e.dur_ns) / 1e3});
       }
       row.set("pid", io::Json{pid});
@@ -119,13 +119,13 @@ io::Json chrome_trace_json(const StitchedTrace& stitched) {
 }
 
 study::ResultTable summary_table(const StitchedTrace& stitched) {
-  const auto& defs = span_defs();
+  const auto& defs = metrics::metric_defs();
   struct Agg {
     std::uint64_t count = 0;
     std::uint64_t total_ns = 0;
     std::uint64_t max_ns = 0;
   };
-  std::array<Agg, kNumSpans> aggs{};
+  std::array<Agg, metrics::kNumProbes> aggs{};
   for (const TraceFile& file : stitched.processes) {
     for (const SpanEvent& e : file.spans) {
       Agg& a = aggs[e.span];
@@ -139,16 +139,16 @@ study::ResultTable summary_table(const StitchedTrace& stitched) {
   table.columns = {"seq",   "span",     "subsystem", "kind",
                    "count", "total_ms", "mean_ms",   "max_ms"};
   std::uint64_t seq = 0;
-  for (SpanId id = 0; id < kNumSpans; ++id) {
+  for (metrics::MetricId id = 0; id < metrics::kNumProbes; ++id) {
     const Agg& a = aggs[id];
     if (a.count == 0) continue;
-    const SpanDef& def = defs[id];
+    const metrics::MetricDef& def = defs[id];
     study::Row row;
     row.reserve(table.columns.size());
     row.push_back(io::Json{seq++});
     row.push_back(io::Json{def.name});
     row.push_back(io::Json{def.subsystem});
-    row.push_back(io::Json{std::string{kind_name(def.kind)}});
+    row.push_back(io::Json{metrics::kind_name(def.kind)});
     row.push_back(io::Json{a.count});
     row.push_back(io::Json{static_cast<double>(a.total_ns) / 1e6});
     row.push_back(io::Json{static_cast<double>(a.total_ns) / 1e6 /
@@ -159,9 +159,9 @@ study::ResultTable summary_table(const StitchedTrace& stitched) {
   return table;
 }
 
-std::vector<std::pair<SpanId, std::uint64_t>> span_shape(
+std::vector<std::pair<metrics::MetricId, std::uint64_t>> span_shape(
     const StitchedTrace& stitched) {
-  std::vector<std::pair<SpanId, std::uint64_t>> out;
+  std::vector<std::pair<metrics::MetricId, std::uint64_t>> out;
   out.reserve(stitched.total_spans());
   for (const TraceFile& file : stitched.processes) {
     for (const SpanEvent& e : file.spans) {

@@ -37,7 +37,7 @@ struct StitchedTrace {
 /// events for kSpan, "i" instants for kInstant, plus "M" process_name
 /// metadata rows. ts/dur are microseconds, each process normalized to its
 /// own earliest event. Ident hashes render as hex strings in args (JSON
-/// doubles cannot hold them); labels recorded via Tracer::set_label are
+/// doubles cannot hold them); labels recorded via Sink::set_label are
 /// joined in as args.label.
 [[nodiscard]] io::Json chrome_trace_json(const StitchedTrace& stitched);
 
@@ -48,7 +48,8 @@ struct StitchedTrace {
 /// The timestamp-free shape of a trace: every (span, ident) pair across all
 /// processes, sorted. Two runs of the same campaign — at any worker or
 /// thread split — must produce equal shapes (pinned by tests).
-[[nodiscard]] std::vector<std::pair<SpanId, std::uint64_t>> span_shape(
+[[nodiscard]] std::vector<std::pair<metrics::MetricId, std::uint64_t>>
+span_shape(
     const StitchedTrace& stitched);
 
 }  // namespace varbench::trace

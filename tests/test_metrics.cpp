@@ -1,5 +1,5 @@
-// The metrics-layer contract (docs/metrics.md): dense stable ids with
-// collision-rejecting registration, a disabled path that allocates
+// The metrics-layer contract (docs/metrics.md): dense stable ids from one
+// compile-time registry, a disabled path that allocates
 // nothing and calls nothing, integer log2 histogram goldens, shard merges
 // that are bit-identical at any thread count, metrics-as-provenance
 // (enabling metrics never changes study artifact bytes), the snapshot →
@@ -56,22 +56,6 @@ TEST(MetricsRegistry, BuiltinIdsAreIndices) {
     EXPECT_EQ(metric_id(defs[i].name), static_cast<MetricId>(i));
   }
   EXPECT_THROW((void)metric_id("exec.no_such_metric"), std::invalid_argument);
-}
-
-TEST(MetricsRegistry, RegisterMetricRejectsCollisions) {
-  MetricDef def;
-  def.name = "test.extension_metric";
-  def.subsystem = "test";
-  def.unit = "count";
-  def.kind = MetricKind::kCounter;
-  const MetricId id = register_metric(def);
-  EXPECT_EQ(id, static_cast<MetricId>(num_metrics() - 1));
-  EXPECT_EQ(metric_id("test.extension_metric"), id);
-  // Same extension name again, and a builtin name: both ambiguous.
-  EXPECT_THROW(register_metric(def), std::invalid_argument);
-  MetricDef builtin_clash = def;
-  builtin_clash.name = "exec.chunks";
-  EXPECT_THROW(register_metric(builtin_clash), std::invalid_argument);
 }
 
 // ---------------------------------------------------- histogram geometry
@@ -189,6 +173,43 @@ TEST(MetricsSink, ScopedTimerRecordsOnlyWhenEnabled) {
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->count, 1u);
   EXPECT_GT(m->sum, 0u);
+}
+
+TEST(MetricsSink, MetricsAndSpansShareOneSinkWithoutCrossTalk) {
+  Sink sink;
+  // A metric selection reaches only metric kinds, so `--metrics all`
+  // starts no span; "study" names only spans, so it matches nothing here.
+  enable_selection(sink, "all");
+  for (MetricId id = 0; id < kNumProbes; ++id) {
+    EXPECT_EQ(sink.is_enabled(id), !is_span(metric_defs()[id].kind));
+  }
+  EXPECT_THROW(enable_selection(sink, "study"), std::invalid_argument);
+  enable_selection(sink, "none");
+  EXPECT_FALSE(sink.any_enabled());
+
+  // A timer and a span over one scope share one pair of clock reads.
+  sink.enable(kExecChunkRunNs);
+  sink.enable(kExecChunk);
+  { const ScopedTimer probe{sink, kExecChunk, 5, kExecChunkRunNs}; }
+  sink.add(kExecRegions, 3);  // disabled: records nothing
+  sink.enable(kExecRegions);
+  sink.add(kExecRegions, 3);
+  const std::vector<SpanEvent> events = sink.take_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].ident, 5u);
+
+  // Draining spans never zeroes counters, and snapshots list no span.
+  const Snapshot snap = sink.snapshot();
+  ASSERT_EQ(snap.metrics.size(), 2u);
+  const MetricSnapshot* timer = snap.find(kExecChunkRunNs);
+  ASSERT_NE(timer, nullptr);
+  EXPECT_EQ(timer->count, 1u);
+  EXPECT_EQ(timer->sum, events[0].dur_ns);
+  sink.reset_spans();
+  const Snapshot after = sink.snapshot();
+  const MetricSnapshot* regions = after.find(kExecRegions);
+  ASSERT_NE(regions, nullptr);
+  EXPECT_EQ(regions->sum, 3u);
 }
 
 // ------------------------------------------------- deterministic merge
@@ -331,6 +352,22 @@ TEST(MetricsTrajectory, LoadAppendSaveRoundtrip) {
   EXPECT_EQ(back.rows()[0].min_ns, 120'000u);
   EXPECT_EQ(back.rows()[1].label, "test");
   EXPECT_EQ(back.best_ns("exec.parallel_for"), 90'000u);
+
+  // A malformed or mistyped history names the file it came from.
+  for (const std::string& bad :
+       {std::string{"{"},
+        std::string{R"({"schema": "varbench.bench_trajectory.v1", "rows": )"
+                    R"([{"bench": "b", "unit": "ns", "min_ns": -5, )"
+                    R"("repeats": 1, "version": "v"}]})"}}) {
+    io::write_file(path, bad);
+    try {
+      (void)Trajectory::load(path);
+      ADD_FAILURE() << "expected io::JsonError for " << bad;
+    } catch (const io::JsonError& e) {
+      EXPECT_NE(std::string{e.what()}.find(path), std::string::npos)
+          << e.what();
+    }
+  }
   fs::remove_all(dir);
 }
 

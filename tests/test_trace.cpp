@@ -1,4 +1,4 @@
-// Trace-layer contract (docs/tracing.md): zero overhead while disabled
+// Trace-layer contract (docs/metrics.md): zero overhead while disabled
 // (no allocation, no clock reads beyond one branch), identity-derived span
 // idents so the same campaign traced at any worker split yields the same
 // timestamp-free shape, deterministic serialization/stitching, and —
@@ -19,17 +19,18 @@
 #include "src/exec/exec_context.h"
 #include "src/exec/parallel_for.h"
 #include "src/io/json.h"
+#include "src/metrics/metrics.h"
+#include "src/metrics/stopwatch.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
 #include "src/trace/file.h"
 #include "src/trace/stitch.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
 
 namespace varbench::trace {
 namespace {
 
+using namespace varbench::metrics;
 namespace fs = std::filesystem;
 
 class TempDir {
@@ -54,60 +55,64 @@ class TempDir {
 // ------------------------------------------------------------- registry
 
 TEST(SpanRegistry, NamesAreUniqueAndRoundTrip) {
-  const auto& defs = span_defs();
-  ASSERT_EQ(defs.size(), static_cast<std::size_t>(kNumSpans));
+  const auto& defs = metric_defs();
+  ASSERT_EQ(defs.size(), static_cast<std::size_t>(kNumProbes));
   std::set<std::string_view> names;
-  for (SpanId id = 0; id < kNumSpans; ++id) {
+  for (MetricId id = 0; id < kNumProbes; ++id) {
     EXPECT_TRUE(names.insert(defs[id].name).second) << defs[id].name;
     EXPECT_FALSE(defs[id].subsystem.empty());
     EXPECT_FALSE(defs[id].help.empty());
-    EXPECT_EQ(span_id(defs[id].name), id);
+    EXPECT_EQ(metric_id(defs[id].name), id);
   }
-  EXPECT_EQ(span_id("exec.chunk"), static_cast<SpanId>(kExecChunk));
-  EXPECT_EQ(defs[kCampaignTaskQueued].kind, SpanKind::kInstant);
-  EXPECT_EQ(defs[kExecRegion].kind, SpanKind::kSpan);
+  EXPECT_EQ(metric_id("exec.chunk"), static_cast<MetricId>(kExecChunk));
+  EXPECT_EQ(defs[kCampaignTaskQueued].kind, MetricKind::kInstant);
+  EXPECT_EQ(defs[kExecRegion].kind, MetricKind::kSpan);
 }
 
 TEST(SpanRegistry, UnknownNameThrows) {
-  EXPECT_THROW((void)span_id("exec.nope"), std::invalid_argument);
+  EXPECT_THROW((void)metric_id("exec.nope"), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- tracer
 
 TEST(TracerTest, DisabledTracerRecordsAndAllocatesNothing) {
-  Tracer t;
+  Sink t;
   EXPECT_FALSE(t.any_enabled());
-  { const ScopedSpan s{t, kExecRegion, 7}; }
+  { const ScopedTimer s{t, kExecRegion, 7}; }
   instant(t, kCampaignTaskQueued, 9);
   span_end(t, kCampaignTaskRunning, 1, span_begin(t, kCampaignTaskRunning));
   t.emit(kStudyRun, 1, 2, 3);
   // The disabled path must not even allocate a buffer — that is the
   // "zero-overhead when off" half of the contract.
-  EXPECT_EQ(t.allocated_buffers(), 0u);
+  EXPECT_EQ(t.allocated_shards(), 0u);
   EXPECT_TRUE(t.take_events().empty());
   EXPECT_EQ(t.dropped(), 0u);
 }
 
 TEST(TracerTest, EnableSelectionBySubsystemNameAndAll) {
-  Tracer t;
-  enable_selection(t, "exec");
+  Sink t;
+  enable_selection(t, "exec", Export::kSpans);
   EXPECT_TRUE(t.is_enabled(kExecRegion));
   EXPECT_TRUE(t.is_enabled(kExecChunk));
   EXPECT_FALSE(t.is_enabled(kStudyRun));
-  enable_selection(t, "study.run, campaign.task_running");
+  enable_selection(t, "study.run, campaign.task_running", Export::kSpans);
   EXPECT_TRUE(t.is_enabled(kStudyRun));
   EXPECT_TRUE(t.is_enabled(kCampaignTaskRunning));
   EXPECT_FALSE(t.is_enabled(kCampaignTaskQueued));
-  enable_selection(t, "none");
+  enable_selection(t, "none", Export::kSpans);
   EXPECT_FALSE(t.any_enabled());
-  enable_selection(t, "all");
-  for (SpanId id = 0; id < kNumSpans; ++id) EXPECT_TRUE(t.is_enabled(id));
-  EXPECT_THROW(enable_selection(t, "exec.bogus"), std::invalid_argument);
-  EXPECT_THROW(enable_selection(t, "tracing"), std::invalid_argument);
+  enable_selection(t, "all", Export::kSpans);
+  for (MetricId id = 0; id < kNumProbes; ++id) {
+    EXPECT_EQ(t.is_enabled(id), is_span(metric_defs()[id].kind));
+  }
+  EXPECT_THROW(enable_selection(t, "exec.bogus", Export::kSpans),
+               std::invalid_argument);
+  EXPECT_THROW(enable_selection(t, "tracing", Export::kSpans),
+               std::invalid_argument);
 }
 
 TEST(TracerTest, TakeEventsSortsDeterministicallyAndResetsSequence) {
-  Tracer t;
+  Sink t;
   t.enable(kExecRegion);
   t.emit(kExecRegion, 5, /*start_ns=*/200, /*dur_ns=*/10);
   t.emit(kExecRegion, 4, /*start_ns=*/100, /*dur_ns=*/10);
@@ -124,10 +129,10 @@ TEST(TracerTest, TakeEventsSortsDeterministicallyAndResetsSequence) {
 }
 
 TEST(TracerTest, ParallelForEmitsRegionAndChunkSpans) {
-  Tracer t;
-  enable_selection(t, "exec");
+  Sink t;
+  enable_selection(t, "exec", Export::kSpans);
   exec::ExecContext ctx{2};
-  ctx.tracer = &t;
+  ctx.metrics = &t;
   std::vector<double> out(64, 0.0);
   exec::parallel_for(ctx, 0, out.size(), [&](std::size_t i) {
     out[i] = static_cast<double>(i);
@@ -201,10 +206,23 @@ TEST(TraceFileTest, ParseErrorsAreActionableAndNamePath) {
   const std::string from = "exec.region";
   text.replace(text.find(from), from.size(), "exec.nopes");
   expect_error(text, "exec.nopes");
+  // A metric is not a span, even though both share the one registry.
+  text.replace(text.find("exec.nopes"), 10, "exec.chunks");
+  expect_error(text, "unknown span name 'exec.chunks'");
+  // Well-formed JSON with the right schema but a missing or mistyped field.
+  expect_error(R"({"schema": "varbench.trace.v1", "spans": [], "labels": []})",
+               "missing key 'process'");
+  expect_error(R"({"schema": "varbench.trace.v1", "process": "p", "spans": )"
+               R"([{"span": "exec.region", "ident": -1, "tid": 0, )"
+               R"("start_ns": 0, "dur_ns": 0}], "labels": []})",
+               "negative -1");
+  expect_error(R"({"schema": "varbench.trace.v1", "process": "p", )"
+               R"("spans": {}, "labels": []})",
+               "expected array");
 }
 
 TEST(TraceFileTest, DrainEmptiesTheTracer) {
-  Tracer t;
+  Sink t;
   t.enable(kStudyRun);
   t.emit(kStudyRun, 1, 10, 5);
   t.set_label(1, "variance:cifar10_vgg11");
@@ -384,10 +402,10 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
     EXPECT_TRUE(fs::exists(fs::path{dir->str()} / "traces" /
                            "coordinator.trace.json"));
   }
-  // in_process_launcher(true) enabled the process-global tracer; put it
+  // in_process_launcher(true) enabled the global sink's spans; put it
   // back so later tests in this binary see the all-disabled default.
-  global_tracer().disable_all();
-  global_tracer().reset();
+  global_sink().disable_all();
+  global_sink().reset();
 
   // Traces are provenance, never identity: tracing on (at any worker
   // count) changes no artifact bytes.
@@ -405,14 +423,14 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
   std::set<std::string_view> subsystems;
   for (const TraceFile& file : one.processes) {
     for (const SpanEvent& e : file.spans) {
-      subsystems.insert(span_defs()[e.span].subsystem);
+      subsystems.insert(metric_defs()[e.span].subsystem);
     }
   }
   EXPECT_TRUE(subsystems.count("campaign"));
   EXPECT_TRUE(subsystems.count("study"));
   EXPECT_TRUE(subsystems.count("exec"));
   // Lifecycle completeness: each task was queued, claimed, run, promoted.
-  const auto count = [&](SpanId id) {
+  const auto count = [&](MetricId id) {
     std::size_t n = 0;
     for (const TraceFile& f : one.processes) {
       for (const SpanEvent& e : f.spans) n += e.span == id ? 1 : 0;

@@ -64,7 +64,6 @@
 #include "src/study/study_spec.h"
 #include "src/trace/file.h"
 #include "src/trace/stitch.h"
-#include "src/trace/trace.h"
 #include "src/varbench.h"
 #include "src/version.h"
 
@@ -305,13 +304,14 @@ int cmd_run(const Args& a) {
   if (selection != nullptr) {
     metrics::enable_selection(metrics::global_sink(), *selection);
   }
-  // Traces are the same bargain: spans describe where the time went, never
+  // Spans are the same bargain: they describe where the time went, never
   // what the result is, so --trace-out cannot change the artifact bytes
-  // either (docs/tracing.md). Campaign workers get this flag injected by
-  // subprocess_launcher so every worker leaves a per-worker trace behind.
+  // either. Campaign workers get this flag injected by subprocess_launcher
+  // so every worker leaves a per-worker trace behind.
   const std::string* trace_out = a.find("trace-out");
   if (trace_out != nullptr) {
-    trace::global_tracer().enable_all();
+    metrics::enable_selection(metrics::global_sink(), "all",
+                              metrics::Export::kSpans);
   }
   const int rc = finish_study(study::run_study(spec), a);
   if (trace_out != nullptr) {
@@ -323,7 +323,7 @@ int cmd_run(const Args& a) {
       process.resize(process.size() - kSuffix.size());
     }
     const trace::TraceFile file =
-        trace::drain(trace::global_tracer(), std::move(process));
+        trace::drain(metrics::global_sink(), std::move(process));
     trace::write_trace_file(*trace_out, file);
     std::fprintf(stderr, "trace: %zu span(s) -> %s\n", file.spans.size(),
                  trace_out->c_str());
@@ -501,9 +501,9 @@ int cmd_campaign(const Args& a) {
     // The coordinator's own io spans (artifact loads during study merge)
     // ride in coordinator.trace.json next to the campaign spans; workers
     // are separate processes and trace themselves via --trace-out.
-    trace::enable_selection(trace::global_tracer(), "io");
-    cfg.tracer = &trace::global_tracer();
-    trace::enable_selection(*cfg.tracer, "campaign");
+    metrics::enable_selection(metrics::global_sink(), "io,campaign",
+                              metrics::Export::kSpans);
+    cfg.metrics = &metrics::global_sink();
   }
 
   const auto report = campaign::run_campaign(
@@ -618,7 +618,7 @@ int cmd_report(const Args& a) {
 /// timeline. --chrome exports Chrome trace-event JSON (load it in
 /// Perfetto / chrome://tracing); --summary (also the default when no
 /// --chrome is asked for) renders the per-span critical-path table through
-/// the report machinery (docs/tracing.md).
+/// the report machinery (docs/metrics.md).
 int cmd_trace(const Args& a) {
   require_known_flags(a, {"chrome", "summary", "format", "threads"});
   if (a.positional.empty()) {
@@ -628,7 +628,7 @@ int cmd_trace(const Args& a) {
                  "stitches <state-dir>/traces/*.trace.json (written by "
                  "campaign --trace or run --trace-out) into a Chrome "
                  "trace-event timeline and a per-span summary "
-                 "(docs/tracing.md)\n");
+                 "(docs/metrics.md)\n");
     return 2;
   }
   const trace::StitchedTrace stitched =
@@ -887,7 +887,7 @@ void usage() {
       "          [--format json|binary] [--trace] (docs/campaigns.md)\n"
       "  trace   <state-dir> [--chrome out.json] [--summary]\n"
       "          stitch per-worker traces into a Chrome trace-event\n"
-      "          timeline + per-span summary (docs/tracing.md)\n"
+      "          timeline + per-span summary (docs/metrics.md)\n"
       "  status  <state-dir> [--json] [--watch]\n"
       "          live worker/task state from heartbeats alone, read-only\n"
       "          (docs/campaigns.md)\n"
