@@ -265,6 +265,17 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
     spans.set_label(ident, task_id);
     metrics::instant(spans, id, ident);
   };
+  // in_process_launcher(true) discards the global sink's spans before each
+  // task, so the coordinator's own spans there (artifact validation, study
+  // merges; lifecycle events too when `spans` is the global sink) move into
+  // this trace before every launch and once more at the end.
+  trace::TraceFile coordinator_trace;
+  coordinator_trace.process = "coordinator";
+  const auto keep_global_spans = [&coordinator_trace] {
+    metrics::Sink& g = metrics::global_sink();
+    trace::append(coordinator_trace, trace::drain(g, "coordinator"));
+    g.reset_spans();  // drain copies the dropped count; count it once
+  };
   auto tasks = plan_tasks(studies, cfg.shards);
 
   CampaignReport report;
@@ -592,6 +603,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       task_event(metrics::kCampaignTaskClaimed, st.task.id);
       std::error_code ec;
       fs::remove(queue.partial_artifact_path(st.task.id), ec);
+      if (cfg.trace) keep_global_spans();
       const auto claimed_at = std::chrono::steady_clock::now();
       const std::uint64_t trace_begin =
           metrics::span_begin(spans, metrics::kCampaignTaskRunning);
@@ -636,7 +648,15 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       }
     }
 
-    if (!progressed) std::this_thread::sleep_for(cfg.poll_interval);
+    if (!progressed) {
+      // Wake when a worker exits, or after poll_interval for heartbeats
+      // and stale claims.
+      std::vector<int> wait_fds;
+      for (const auto& a : active) {
+        if (a.handle->wait_fd() >= 0) wait_fds.push_back(a.handle->wait_fd());
+      }
+      wait_for_exit(wait_fds, cfg.poll_interval);
+    }
   }
 
   // Studies fully satisfied by reused artifacts never saw a completion
@@ -648,16 +668,13 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   }
   write_manifest(queue, cfg, studies, states, &sink);
   if (cfg.trace) {
-    // Coordinator lifecycle spans, plus whatever the coordinator itself
-    // recorded on the global sink (io spans from artifact loads during
-    // validation/merge) when that is a different object.
-    trace::TraceFile coord = trace::drain(spans, "coordinator");
+    keep_global_spans();
     if (&metrics::global_sink() != &spans) {
-      trace::append(coord, trace::drain(metrics::global_sink(), "coordinator"));
+      trace::append(coordinator_trace, trace::drain(spans, "coordinator"));
     }
     trace::write_trace_file(
         (fs::path{queue.trace_dir()} / "coordinator.trace.json").string(),
-        coord);
+        coordinator_trace);
   }
   event(cfg,
         "campaign: %zu/%zu task(s) done (launched %zu worker(s), reused %zu "
@@ -680,6 +697,7 @@ WorkerLauncher subprocess_launcher(std::string varbench_binary, bool trace) {
       bool running() override { return process_.running(); }
       int exit_code() override { return process_.exit_code(); }
       void kill() override { process_.kill(); }
+      int wait_fd() const override { return process_.wait_fd(); }
 
      private:
       Subprocess process_;

@@ -46,6 +46,10 @@ class WorkerHandle {
   /// running() must eventually turn false after this. Default: no-op, for
   /// launchers that finish synchronously.
   virtual void kill() {}
+  /// A descriptor that turns readable when the worker exits, so the
+  /// coordinator wakes on exit instead of at its next poll_interval tick;
+  /// -1 (the default) when there is none.
+  [[nodiscard]] virtual int wait_fd() const { return -1; }
 };
 
 /// Start work on `task` (its spec is serialized at `spec_path`), writing
@@ -66,6 +70,9 @@ struct CampaignConfig {
   /// failed attempt — a hung (not crashed) worker must not stall the
   /// campaign forever. 0 disables the limit.
   std::chrono::milliseconds task_timeout{0};
+  /// Heartbeat and stale-claim cadence. Workers are reaped the moment they
+  /// exit when their handle has a wait_fd(); otherwise it is also the
+  /// longest an exit goes unnoticed.
   std::chrono::milliseconds poll_interval{25};
   bool resume = false;       // required to reuse an initialized state dir
   std::FILE* events = nullptr;  // progress lines (CLI: stderr); null = quiet

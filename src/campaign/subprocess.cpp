@@ -1,17 +1,22 @@
 #include "src/campaign/subprocess.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #ifdef _WIN32
+#include <thread>
 // The campaign coordinator's scheduling logic is portable (std::filesystem);
 // only worker spawning needs a platform backend. Wire CreateProcess here if
 // Windows support is ever needed — every caller goes through this one file.
 #else
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -56,6 +61,10 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
   return *this;
 }
 
+void wait_for_exit(std::span<const int>, std::chrono::milliseconds timeout) {
+  std::this_thread::sleep_for(timeout);
+}
+
 std::string current_executable(const std::string& fallback) { return fallback; }
 
 unsigned long current_process_id() { return 0; }
@@ -97,6 +106,13 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
 
   Subprocess p;
   p.pid_ = pid;
+#ifdef SYS_pidfd_open
+  // The child cannot be reaped behind our back, so the pid is still ours
+  // even if it already exited. Failure (an old kernel) leaves no fd, and
+  // wait_for_exit() degrades to a timed wait.
+  p.wait_fd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (p.wait_fd_ < 0) p.wait_fd_ = -1;
+#endif
   return p;
 }
 
@@ -112,6 +128,7 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
     }
     pid_ = std::exchange(other.pid_, -1);
     exit_code_ = other.exit_code_;
+    wait_fd_ = std::exchange(other.wait_fd_, -1);
   }
   return *this;
 }
@@ -128,10 +145,7 @@ bool Subprocess::running() {
   int status = 0;
   const pid_t r = ::waitpid(static_cast<pid_t>(pid_), &status, WNOHANG);
   if (r == 0) return true;
-  if (r == static_cast<pid_t>(pid_)) {
-    exit_code_ = decode_status(status);
-    pid_ = -1;
-  }
+  if (r == static_cast<pid_t>(pid_)) reaped(status);
   return false;
 }
 
@@ -141,9 +155,26 @@ int Subprocess::wait() {
   while (::waitpid(static_cast<pid_t>(pid_), &status, 0) < 0) {
     if (errno != EINTR) fail("waitpid failed");
   }
+  reaped(status);
+  return exit_code_;
+}
+
+void Subprocess::reaped(int status) {
   exit_code_ = decode_status(status);
   pid_ = -1;
-  return exit_code_;
+  if (wait_fd_ >= 0) ::close(wait_fd_);
+  wait_fd_ = -1;
+}
+
+void wait_for_exit(std::span<const int> wait_fds,
+                   std::chrono::milliseconds timeout) {
+  std::vector<pollfd> fds;
+  fds.reserve(wait_fds.size());
+  for (const int fd : wait_fds) fds.push_back(pollfd{fd, POLLIN, 0});
+  // EINTR or an error just ends the wait early; the caller loops anyway.
+  const auto ms = std::clamp<std::chrono::milliseconds::rep>(
+      timeout.count(), 0, std::numeric_limits<int>::max());
+  (void)::poll(fds.data(), fds.size(), static_cast<int>(ms));
 }
 
 void Subprocess::kill() {

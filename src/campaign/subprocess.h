@@ -4,6 +4,8 @@
 // file is testable in-process; only subprocess_launcher() reaches here.
 #pragma once
 
+#include <chrono>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,12 +41,25 @@ class Subprocess {
   /// Forcibly terminate (SIGKILL) a still-running child.
   void kill();
 
+  /// A descriptor that turns readable when the child exits (a pidfd on
+  /// Linux), for wait_for_exit(); -1 once reaped, or when the platform
+  /// has none.
+  [[nodiscard]] int wait_fd() const { return wait_fd_; }
+
  private:
   Subprocess() = default;
+  void reaped(int status);
 
   long pid_ = -1;  // -1 → reaped or never started
   int exit_code_ = -1;
+  int wait_fd_ = -1;
 };
+
+/// Block until one of `wait_fds` (Subprocess::wait_fd values) turns
+/// readable or `timeout` passes, whichever comes first. With no fds this
+/// is a plain timed wait.
+void wait_for_exit(std::span<const int> wait_fds,
+                   std::chrono::milliseconds timeout);
 
 /// Absolute path of the currently running executable when the platform can
 /// tell us (/proc/self/exe on Linux), else `fallback` (typically argv[0]) —

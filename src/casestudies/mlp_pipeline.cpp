@@ -45,6 +45,20 @@ ml::TrainConfig MlpPipeline::resolve_config(
   return cfg;
 }
 
+core::FitDependence MlpPipeline::fit_dependence(
+    const hpo::ParamPoint& lambda) const {
+  const ml::TrainConfig cfg = resolve_config(lambda);
+  core::FitDependence dep;
+  dep.pure = cfg.numerical_noise_std == 0.0;
+  dep.streams = 0;
+  for (const auto source : rngx::kAllVariationSources) {
+    if (ml::reads_stream(cfg, source)) {
+      dep.streams |= std::uint32_t{1} << static_cast<unsigned>(source);
+    }
+  }
+  return dep;
+}
+
 double MlpPipeline::train_and_evaluate(const ml::Dataset& train,
                                        const ml::Dataset& test,
                                        const hpo::ParamPoint& lambda,

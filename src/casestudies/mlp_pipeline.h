@@ -38,6 +38,12 @@ class MlpPipeline final : public core::LearningPipeline {
   [[nodiscard]] std::string_view name() const override { return spec_.name; }
   [[nodiscard]] ml::Metric metric() const override { return spec_.metric; }
 
+  /// Reads the streams train_mlp reads under the resolved configuration
+  /// (ml::reads_stream). Impure when numerical_noise_std > 0: that noise
+  /// comes from a process-global counter, not from the seeds.
+  [[nodiscard]] core::FitDependence fit_dependence(
+      const hpo::ParamPoint& lambda) const override;
+
   /// The training configuration that a given λ resolves to (exposed for
   /// tests and diagnostics).
   [[nodiscard]] ml::TrainConfig resolve_config(

@@ -4,7 +4,17 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "src/metrics/metrics.h"
+
 namespace varbench::core {
+
+double fit(const LearningPipeline& pipeline, const ml::Dataset& train,
+           const ml::Dataset& test, const hpo::ParamPoint& lambda,
+           const rngx::VariationSeeds& seeds, FitCounter* counter) {
+  if (counter != nullptr) ++counter->fits;
+  metrics::global_sink().add(metrics::kCoreFits);
+  return pipeline.train_and_evaluate(train, test, lambda, seeds);
+}
 
 hpo::ParamPoint run_hpo(const LearningPipeline& pipeline,
                         const ml::Dataset& trainvalid,
@@ -34,10 +44,9 @@ hpo::ParamPoint run_hpo(const LearningPipeline& pipeline,
   const ml::Dataset inner_valid = ml::subset(trainvalid, valid_idx);
 
   const hpo::Objective objective = [&](const hpo::ParamPoint& lambda) {
-    if (counter != nullptr) ++counter->fits;
     // Minimize risk = 1 - performance (metrics are higher-is-better).
-    return 1.0 - pipeline.train_and_evaluate(inner_train, inner_valid, lambda,
-                                             seeds);
+    return 1.0 - fit(pipeline, inner_train, inner_valid, lambda, seeds,
+                     counter);
   };
   const hpo::HpoResult result = config.algorithm->optimize(
       config.exec, pipeline.search_space(), objective, config.budget, hpo_rng);
@@ -54,8 +63,7 @@ double run_pipeline_once(const LearningPipeline& pipeline,
   const auto [trainvalid, test] = materialize(pool, s);
   const hpo::ParamPoint lambda = run_hpo(pipeline, trainvalid, config, seeds,
                                          counter);
-  if (counter != nullptr) ++counter->fits;  // the final retraining
-  return pipeline.train_and_evaluate(trainvalid, test, lambda, seeds);
+  return fit(pipeline, trainvalid, test, lambda, seeds, counter);  // retrain
 }
 
 double measure_with_params(const LearningPipeline& pipeline,
@@ -66,8 +74,7 @@ double measure_with_params(const LearningPipeline& pipeline,
   auto split_rng = seeds.rng_for(rngx::VariationSource::kDataSplit);
   const Split s = splitter.split(pool, split_rng);
   const auto [train, test] = materialize(pool, s);
-  if (counter != nullptr) ++counter->fits;
-  return pipeline.train_and_evaluate(train, test, lambda, seeds);
+  return fit(pipeline, train, test, lambda, seeds, counter);
 }
 
 }  // namespace varbench::core

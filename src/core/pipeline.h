@@ -3,6 +3,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string_view>
 
@@ -14,6 +15,23 @@
 #include "src/rngx/variation.h"
 
 namespace varbench::core {
+
+/// What one fit Opt(S_t, λ; ξO) depends on besides its data and λ: which ξ
+/// streams it reads, and whether it is a pure function of (data, λ, seeds).
+/// A caller may reuse a fit whose result is already known only when the
+/// inputs that differ are streams a pure fit never reads.
+struct FitDependence {
+  bool pure = false;
+  std::uint32_t streams = ~std::uint32_t{0};  // bit s: reads VariationSource s
+
+  [[nodiscard]] bool reads(rngx::VariationSource source) const {
+    return ((streams >> static_cast<unsigned>(source)) & 1U) != 0;
+  }
+  /// Re-seeding `source` cannot change the fit's result.
+  [[nodiscard]] bool ignores(rngx::VariationSource source) const {
+    return pure && !reads(source);
+  }
+};
 
 /// A trainable, hyperparameter-configurable learning procedure Opt(S_t, λ; ξO)
 /// together with its evaluation metric (oriented so higher is better).
@@ -38,6 +56,13 @@ class LearningPipeline {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual ml::Metric metric() const = 0;
+
+  /// Which ξ streams a fit at λ reads, and whether it is pure. The default
+  /// — reads every stream, impure — never lets a caller skip a fit.
+  [[nodiscard]] virtual FitDependence fit_dependence(
+      const hpo::ParamPoint& /*lambda*/) const {
+    return {};
+  }
 };
 
 /// Counts Opt() invocations — the unit of the paper's O(k·T) vs O(k+T)
@@ -53,6 +78,15 @@ struct HpoRunConfig {
   double validation_fraction = 0.25;  // inner S_t / S_v split of S_tv
   exec::ExecContext exec;         // fan-out for independent trial evaluations
 };
+
+/// One fit: pipeline.train_and_evaluate(train, test, λ, seeds), counted in
+/// `counter` (when given) and in the core.fits metric. Every fit the
+/// library trains goes through here.
+[[nodiscard]] double fit(const LearningPipeline& pipeline,
+                         const ml::Dataset& train, const ml::Dataset& test,
+                         const hpo::ParamPoint& lambda,
+                         const rngx::VariationSeeds& seeds,
+                         FitCounter* counter = nullptr);
 
 /// HOpt(S_tv; ξO, ξH): tune hyperparameters on an inner train/valid split of
 /// `trainvalid`. The inner split and all algorithm stochasticity come from

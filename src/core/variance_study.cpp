@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/exec/parallel_replicate.h"
+#include "src/metrics/metrics.h"
 #include "src/stats/descriptive.h"
 
 namespace varbench::core {
@@ -64,26 +65,48 @@ VarianceStudyResult run_variance_study(const LearningPipeline& pipeline,
       {rngx::VariationSource::kDropout, "Dropout"},
   };
 
-  for (const auto& probe : kProbes) {
+  // A probe whose stream a pure fit never reads (and the all-fixed
+  // Numerical-noise probe of a pure pipeline) repeats the base fit
+  // measure_with_params(defaults, base) at every repetition: train it once
+  // and fill the slice with it. The splitter reads the data-split stream,
+  // so that probe always trains. Every probe still draws its master seed
+  // and runs its replicate range, so the other probes' streams and every
+  // row stay exactly as they are.
+  const FitDependence dep = pipeline.fit_dependence(defaults);
+  bool have_base = false;
+  double base_measure = 0.0;
+  const auto probe_source = [&](rngx::VariationSource source,
+                                std::string_view tag, const char* label) {
+    const exec::IndexRange range = slice(config.repetitions);
+    const bool reuse = source != rngx::VariationSource::kDataSplit &&
+                       dep.ignores(source) && range.size() > 0;
+    if (reuse) {
+      if (!have_base) {
+        base_measure =
+            measure_with_params(pipeline, pool, splitter, defaults, base);
+        have_base = true;
+      }
+      metrics::global_sink().add(metrics::kCoreFitsReused, range.size());
+    }
     auto measures = exec::parallel_replicate_range<double>(
-        config.exec, slice(config.repetitions), master,
-        rngx::to_string(probe.source), [&](std::size_t, rngx::Rng& rng) {
-          const auto seeds = base.with_randomized(probe.source, rng);
-          return measure_with_params(pipeline, pool, splitter, defaults, seeds);
+        config.exec, range, master, tag, [&](std::size_t, rngx::Rng& rng) {
+          if (reuse) return base_measure;
+          const auto seeds = source == rngx::VariationSource::kNumerical
+                                 ? base
+                                 : base.with_randomized(source, rng);
+          return measure_with_params(pipeline, pool, splitter, defaults,
+                                     seeds);
         });
-    result.rows.push_back(
-        summarize(probe.source, probe.label, std::move(measures)));
-  }
+    result.rows.push_back(summarize(source, label, std::move(measures)));
+  };
 
+  for (const auto& probe : kProbes) {
+    probe_source(probe.source, rngx::to_string(probe.source), probe.label);
+  }
   if (config.include_numerical_noise) {
     // All seeds fixed; any remaining fluctuation is "numerical noise".
-    auto measures = exec::parallel_replicate_range<double>(
-        config.exec, slice(config.repetitions), master, "numerical_noise",
-        [&](std::size_t, rngx::Rng&) {
-          return measure_with_params(pipeline, pool, splitter, defaults, base);
-        });
-    result.rows.push_back(summarize(rngx::VariationSource::kNumerical,
-                                    "Numerical noise", std::move(measures)));
+    probe_source(rngx::VariationSource::kNumerical, "numerical_noise",
+                 "Numerical noise");
   }
 
   // ξH probes: independent HOpt runs with all ξO fixed; each run's best λ̂*
@@ -106,7 +129,7 @@ VarianceStudyResult run_variance_study(const LearningPipeline& pipeline,
           const Split s = splitter.split(pool, split_rng);
           const auto [trainvalid, test] = materialize(pool, s);
           const auto lambda = run_hpo(pipeline, trainvalid, hpo_cfg, seeds);
-          return pipeline.train_and_evaluate(trainvalid, test, lambda, seeds);
+          return fit(pipeline, trainvalid, test, lambda, seeds);
         });
     result.rows.push_back(summarize(rngx::VariationSource::kHpo,
                                     std::string{algorithm->name()},

@@ -137,7 +137,11 @@ struct MetricDef {
     kInstant, "failed attempt requeued for retry; ident = hash of the task " \
     "id")                                                                    \
   X(CampaignStudyMerged, "campaign.study_merged", "campaign", "ns", kSpan,   \
-    "per-study incremental merge of all landed shards; ident = study index")
+    "per-study incremental merge of all landed shards; ident = study index") \
+  X(CoreFits, "core.fits", "core", "count", kCounter,                        \
+    "fits trained: every train_and_evaluate call made through core::fit")    \
+  X(CoreFitsReused, "core.fits_reused", "core", "count", kCounter,           \
+    "measures filled from an identical earlier fit instead of training")
 
 enum : MetricId {
 #define VARBENCH_METRIC_ENUM(sym, name, subsystem, unit, kind, help) k##sym,

@@ -13,27 +13,6 @@ bool models_identical(const Mlp& a, const Mlp& b) {
   return true;
 }
 
-namespace {
-
-// Whether re-seeding `source` is expected to change this configuration's
-// result (e.g. the dropout stream only matters when dropout > 0).
-bool source_active(const TrainConfig& config, rngx::VariationSource source) {
-  switch (source) {
-    case rngx::VariationSource::kDataOrder:
-      return true;
-    case rngx::VariationSource::kWeightInit:
-      return true;
-    case rngx::VariationSource::kDropout:
-      return config.model.dropout > 0.0;
-    case rngx::VariationSource::kDataAugment:
-      return is_active(config.augment);
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 ReproAuditReport audit_reproducibility(const Dataset& train,
                                        const TrainConfig& config,
                                        const ReproAuditConfig& audit) {
@@ -67,7 +46,7 @@ ReproAuditReport audit_reproducibility(const Dataset& train,
     const auto reseeded = base.with_randomized(source, master);
     const Mlp changed = train_mlp(train, config, reseeded);
     const bool differs = !models_identical(base_model, changed);
-    const bool expected = source_active(config, source);
+    const bool expected = reads_stream(config, source);
     if (differs) report.sensitive_sources.push_back(source);
     if (differs != expected && report.deterministic) {
       std::ostringstream msg;

@@ -31,6 +31,20 @@ Mlp train_mlp(const Dataset& train, const TrainConfig& config,
   return model;
 }
 
+bool reads_stream(const TrainConfig& config, rngx::VariationSource source) {
+  switch (source) {
+    case rngx::VariationSource::kDataOrder:
+    case rngx::VariationSource::kWeightInit:
+      return true;
+    case rngx::VariationSource::kDropout:
+      return config.model.dropout > 0.0;
+    case rngx::VariationSource::kDataAugment:
+      return is_active(config.augment);
+    default:
+      return false;
+  }
+}
+
 double mean_loss(const Mlp& model, const Dataset& data, LossKind loss) {
   const math::Matrix logits = model.forward(data.x);
   math::Matrix grad;

@@ -35,6 +35,12 @@ struct TrainConfig {
 [[nodiscard]] Mlp train_mlp(const Dataset& train, const TrainConfig& config,
                             const rngx::VariationSeeds& seeds);
 
+/// Whether train_mlp under `config` reads the seed of `source`: data order
+/// and weight init always, dropout only when dropout > 0, augmentation only
+/// when it is active, and no other source (the split happens outside).
+[[nodiscard]] bool reads_stream(const TrainConfig& config,
+                                rngx::VariationSource source);
+
 /// Mean training loss of a model over a dataset (diagnostic).
 [[nodiscard]] double mean_loss(const Mlp& model, const Dataset& data,
                                LossKind loss);

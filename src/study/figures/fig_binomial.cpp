@@ -34,8 +34,7 @@ ResultTable run_fig02(const StudySpec& spec) {
           const auto split = cs.splitter->split(*cs.pool, split_rng);
           const auto [train, test] = core::materialize(*cs.pool, split);
           return Point{split.test.size(),
-                       cs.pipeline->train_and_evaluate(train, test, defaults,
-                                                       seeds)};
+                       core::fit(*cs.pipeline, train, test, defaults, seeds)};
         });
     const std::size_t start = gs.enter(spec.repetitions);
     for (std::size_t j = 0; j < points.size(); ++j) {

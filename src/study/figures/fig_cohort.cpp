@@ -14,6 +14,7 @@
 #include "src/core/pipeline.h"
 #include "src/core/splitter.h"
 #include "src/math/matrix.h"
+#include "src/metrics/metrics.h"
 #include "src/ml/dataset.h"
 #include "src/ml/metrics.h"
 #include "src/ml/synthetic.h"
@@ -193,6 +194,21 @@ ResultTable run_multi_dataset(const StudySpec& spec) {
   for (const auto& task : resolve_tasks(spec)) {
     const auto cs = casestudies::make_case_study(task, spec.scale);
     const auto slice = slice_of(spec, spec.repetitions);
+    // A variant whose params equal an earlier variant's (a pipeline with no
+    // learning_rate to scale) repeats that variant's pure fit: reuse it.
+    std::array<hpo::ParamPoint, kVariants.size()> params;
+    std::array<std::size_t, kVariants.size()> same_as{};
+    for (std::size_t v = 0; v < kVariants.size(); ++v) {
+      params[v] = cs.pipeline->default_params();
+      if (params[v].count("learning_rate") != 0) {
+        params[v]["learning_rate"] *= kVariants[v].second;
+      }
+      same_as[v] = v;
+      if (!cs.pipeline->fit_dependence(params[v]).pure) continue;
+      for (std::size_t u = 0; u < v && same_as[v] == v; ++u) {
+        if (params[u] == params[v]) same_as[v] = u;
+      }
+    }
     const auto runs =
         exec::parallel_replicate_range<std::array<double, kVariants.size()>>(
             exec_of(spec), slice, rngx::derive_seed(spec.seed, task),
@@ -200,12 +216,13 @@ ResultTable run_multi_dataset(const StudySpec& spec) {
               const auto seeds = rngx::VariationSeeds::random(rng);  // paired
               std::array<double, kVariants.size()> out{};
               for (std::size_t v = 0; v < kVariants.size(); ++v) {
-                auto params = cs.pipeline->default_params();
-                if (params.count("learning_rate") != 0) {
-                  params["learning_rate"] *= kVariants[v].second;
+                if (same_as[v] != v) {
+                  out[v] = out[same_as[v]];
+                  metrics::global_sink().add(metrics::kCoreFitsReused);
+                  continue;
                 }
                 out[v] = core::measure_with_params(
-                    *cs.pipeline, *cs.pool, *cs.splitter, params, seeds);
+                    *cs.pipeline, *cs.pool, *cs.splitter, params[v], seeds);
               }
               return out;
             });

@@ -51,12 +51,11 @@ SeedCurves run_one_seed(const casestudies::CaseStudy& cs,
   double test_at_best = 1e9;
   const hpo::Objective objective = [&](const hpo::ParamPoint& lambda) {
     const double valid_risk =
-        1.0 - cs.pipeline->train_and_evaluate(inner_train, inner_valid,
-                                              lambda, seeds);
+        1.0 - core::fit(*cs.pipeline, inner_train, inner_valid, lambda, seeds);
     if (valid_risk < best_valid) {
       best_valid = valid_risk;
-      test_at_best = 1.0 - cs.pipeline->train_and_evaluate(trainvalid, test,
-                                                           lambda, seeds);
+      test_at_best =
+          1.0 - core::fit(*cs.pipeline, trainvalid, test, lambda, seeds);
     }
     out.valid.push_back(best_valid);
     out.test.push_back(test_at_best);

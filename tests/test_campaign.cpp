@@ -9,12 +9,14 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 
 #include "src/campaign/campaign.h"
 #include "src/campaign/subprocess.h"
 #include "src/campaign/work_queue.h"
 #include "src/io/json.h"
+#include "src/metrics/stopwatch.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 
@@ -447,6 +449,67 @@ TEST(SubprocessTest, CapturesExitCodeAndLog) {
   auto missing = Subprocess::spawn({"/nonexistent-binary-xyz"}, log);
   EXPECT_EQ(missing.wait(), 127);
 }
+
+#ifdef __linux__
+TEST(SubprocessTest, WaitFdTurnsReadableWhenTheChildExits) {
+  const TempDir dir{"waitfd"};
+  auto child = Subprocess::spawn({"/bin/sh", "-c", "sleep 0.2"},
+                                 dir.str() + "/out.log");
+  const int fd = child.wait_fd();
+  ASSERT_GE(fd, 0);
+  wait_for_exit(std::span{&fd, 1}, 0ms);
+  EXPECT_TRUE(child.running());
+  const metrics::Stopwatch waited;
+  wait_for_exit(std::span{&fd, 1}, 60s);
+  EXPECT_LT(std::chrono::nanoseconds{waited.elapsed_ns()}, 10s);
+  EXPECT_FALSE(child.running());
+  EXPECT_EQ(child.exit_code(), 0);
+  EXPECT_EQ(child.wait_fd(), -1);  // closed when the child was reaped
+}
+
+/// A worker that is a real child process: the study runs in this process
+/// into a staging file, and a `/bin/sh` child moves it into place a moment
+/// later, so the coordinator is already waiting when the worker exits.
+WorkerLauncher shell_launcher() {
+  class ShellHandle : public WorkerHandle {
+   public:
+    explicit ShellHandle(Subprocess p) : process_{std::move(p)} {}
+    bool running() override { return process_.running(); }
+    int exit_code() override { return process_.exit_code(); }
+    void kill() override { process_.kill(); }
+    int wait_fd() const override { return process_.wait_fd(); }
+
+   private:
+    Subprocess process_;
+  };
+  return [](const CampaignTask&, const std::string& spec_path,
+            const std::string& artifact_path,
+            const std::string& log_path) -> std::unique_ptr<WorkerHandle> {
+    const auto spec =
+        study::StudySpec::from_json_text(io::read_file(spec_path));
+    const std::string staged = artifact_path + ".staged";
+    io::write_file(staged, study::run_study(spec).to_json_text());
+    return std::make_unique<ShellHandle>(Subprocess::spawn(
+        {"/bin/sh", "-c", "sleep 0.2; mv \"$0\" \"$1\"", staged,
+         artifact_path},
+        log_path));
+  };
+}
+
+TEST(CampaignReap, WorkersAreReapedOnExitNotAtThePollInterval) {
+  const TempDir dir{"reap"};
+  CampaignConfig cfg = quick_config(dir.str());
+  cfg.poll_interval = 60s;  // a sleeping coordinator would take minutes
+  const auto spec = tiny_compare_spec();
+  const metrics::Stopwatch wall;
+  const auto report = run_campaign(cfg, {spec}, shell_launcher());
+  EXPECT_LT(std::chrono::nanoseconds{wall.elapsed_ns()}, 10s);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.launched, 3u);
+  EXPECT_EQ(study::ResultTable::load(merged_path_of(report)).canonical_text(),
+            unsharded_canonical(spec));
+}
+#endif
 #endif
 
 }  // namespace

@@ -124,8 +124,11 @@ TEST(MetricsSink, DisabledPathAllocatesNothingAndDefersWork) {
 TEST(MetricsSink, EnableSelectionBySubsystemNameAndAll) {
   Sink sink;
   enable_selection(sink, "exec");
-  for (MetricId id = 0; id < kNumBuiltinMetrics; ++id) {
-    EXPECT_EQ(sink.is_enabled(id), metric_defs()[id].subsystem == "exec");
+  for (MetricId id = 0; id < kNumProbes; ++id) {
+    const MetricDef& def = metric_defs()[id];
+    EXPECT_EQ(sink.is_enabled(id),
+              !is_span(def.kind) && def.subsystem == "exec")
+        << def.name;
   }
   enable_selection(sink, "none");
   EXPECT_FALSE(sink.any_enabled());

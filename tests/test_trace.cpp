@@ -446,5 +446,47 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
   EXPECT_EQ(count(kStudyRun), 2u);  // one per worker task
 }
 
+#ifdef VARBENCH_CLI_PATH
+/// The (span, ident) multiset of a traced 3-shard binary campaign's
+/// coordinator.trace.json, with every span on the global sink (the
+/// coordinator's own io spans from artifact validation and merges).
+std::vector<std::pair<MetricId, std::uint64_t>> coordinator_shape(
+    const std::string& dir, const campaign::WorkerLauncher& launcher) {
+  auto cfg = traced_config(dir, 1);
+  cfg.shards = 3;
+  cfg.format = study::ArtifactFormat::kBinary;
+  global_sink().reset();
+  enable_selection(global_sink(), "all", Export::kSpans);
+  const auto report = campaign::run_campaign(cfg, {tiny_compare_spec()},
+                                             launcher);
+  global_sink().disable_all();
+  global_sink().reset();
+  EXPECT_TRUE(report.ok());
+  StitchedTrace stitched;
+  stitched.processes.push_back(read_trace_file(
+      (fs::path{dir} / "traces" / "coordinator.trace.json").string()));
+  return span_shape(stitched);
+}
+
+TEST(CampaignTrace, CoordinatorSpansAreTheSameForBothLaunchers) {
+  const TempDir in_dir{"coord_inproc"};
+  const TempDir sub_dir{"coord_subproc"};
+  const auto in_process = coordinator_shape(
+      in_dir.str(), campaign::in_process_launcher(/*trace=*/true));
+  const auto subprocess = coordinator_shape(
+      sub_dir.str(), campaign::subprocess_launcher(VARBENCH_CLI_PATH,
+                                                   /*trace=*/true));
+  EXPECT_EQ(in_process, subprocess);
+  // Each of the 3 shard artifacts is mapped and materialized once to be
+  // validated, and mapped once more by the streaming merge.
+  const auto count = [&](MetricId id) {
+    return std::count_if(in_process.begin(), in_process.end(),
+                         [id](const auto& e) { return e.first == id; });
+  };
+  EXPECT_EQ(count(kIoVbtMap), 6);
+  EXPECT_EQ(count(kIoVbtMaterialize), 3);
+}
+#endif
+
 }  // namespace
 }  // namespace varbench::trace
